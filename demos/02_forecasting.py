@@ -62,7 +62,9 @@ def main():
     history.to_csv(history_path)
     save_checkpoint(model_path, best, kind)
     reloaded, _ = load_checkpoint(model_path)
-    assert reloaded.w_f.tobytes() == best.w_f.tobytes()
+    assert reloaded.alpha == best.alpha
+    for key, value in best.arrays().items():
+        assert reloaded.arrays()[key].tobytes() == value.tobytes(), key
     print(f"wrote {history_path}")
     print(f"wrote {model_path} (round-trips bit for bit)")
 

@@ -11,20 +11,20 @@ CSV/JSON reports.
 """
 
 from .activations import (ActivationCache, ActivationKind, backward_alpha,
-                          backward_input, brownian_mean_path, forward)
+                          backward_input, forward)
 from .data import (PriceSeries, SequenceDataset, TabularDataset,
                    chronological_split, denormalize, describe,
                    load_csv_prices, load_csv_tabular, make_windows,
                    minmax_normalize, synth_gbm, synth_sine_trend,
                    synth_tabular)
 from .experiments import (ConfigError, ExperimentConfig, ExperimentReport,
-                          emit_paths_figure, run_classification,
-                          run_comparison, run_sensitivity)
-from .lstm import (ForwardTrace, LstmParams, backward_bptt, cell_forward,
-                   init_params, load_checkpoint, save_checkpoint,
-                   sequence_forward)
+                          Forecast, emit_paths_figure, fit_forecaster,
+                          run_classification, run_comparison,
+                          run_sensitivity)
+from .lstm import (ForwardTrace, LstmParams, backward_bptt, init_params,
+                   load_checkpoint, save_checkpoint, sequence_forward)
 from .metrics import confusion_metrics, r2, roc_auc
-from .numerics import RngStream, elementwise, gaussian, matmul, matrix
+from .numerics import RngStream
 from .training import (TrainConfig, TrainHistory, TrainingDiverged, bce_loss,
                        evaluate, mse_loss, optimizer_step, train)
 
@@ -32,18 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationCache", "ActivationKind", "backward_alpha", "backward_input",
-    "brownian_mean_path", "forward",
+    "forward",
     "PriceSeries", "SequenceDataset", "TabularDataset",
     "chronological_split", "denormalize", "describe", "load_csv_prices",
     "load_csv_tabular", "make_windows", "minmax_normalize", "synth_gbm",
     "synth_sine_trend", "synth_tabular",
-    "ConfigError", "ExperimentConfig", "ExperimentReport",
-    "emit_paths_figure", "run_classification", "run_comparison",
-    "run_sensitivity",
-    "ForwardTrace", "LstmParams", "backward_bptt", "cell_forward",
-    "init_params", "load_checkpoint", "save_checkpoint", "sequence_forward",
+    "ConfigError", "ExperimentConfig", "ExperimentReport", "Forecast",
+    "emit_paths_figure", "fit_forecaster", "run_classification",
+    "run_comparison", "run_sensitivity",
+    "ForwardTrace", "LstmParams", "backward_bptt", "init_params",
+    "load_checkpoint", "save_checkpoint", "sequence_forward",
     "confusion_metrics", "r2", "roc_auc",
-    "RngStream", "elementwise", "gaussian", "matmul", "matrix",
+    "RngStream",
     "TrainConfig", "TrainHistory", "TrainingDiverged", "bce_loss",
     "evaluate", "mse_loss", "optimizer_step", "train",
     "__version__",

@@ -233,34 +233,6 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     return y, ActivationCache(kind=kind, inputs=x, zbar=zbar, alpha=alpha)
 
 
-def brownian_mean_path(x: float, m: int, rng: RngStream | None = None,
-                       sampling: str = "collapsed",
-                       zbar: float | None = None) -> float:
-    """Mean of M Brownian samples at time |x| for a scalar x <= 0.
-
-    Returns b = (1/M) sum_k B_k with B_k ~ N(0, |x|), via the
-    reparameterization b = sqrt(|x|) * zbar.  Pass zbar to evaluate the
-    path at known noise instead of drawing.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if x > 0.0:
-        raise ValueError(f"mean path is defined for x <= 0, got {x}")
-    if m < 1:
-        raise ValueError(f"sample count M must be >= 1, got {m}")
-    if sampling not in ("collapsed", "explicit"):
-        raise ValueError(f"unknown sampling mode '{sampling}'")
-    if zbar is None:
-        if rng is None:
-            raise ValueError("drawing the mean path requires an RngStream")
-        if sampling == "collapsed":
-            zbar = float(rng.standard_normals(1)[0]) / math.sqrt(m)
-        else:
-            zbar = float(rng.standard_normals(m).mean())
-    return math.sqrt(abs(x)) * float(zbar) + 0.0
-
-
 def _check_cache(kind: ActivationKind, cache: ActivationCache,
                  upstream: np.ndarray) -> np.ndarray:
     if cache.kind != kind:

@@ -17,13 +17,10 @@ import os
 import sys
 
 from .data import describe, minmax_normalize
-from .experiments import (ConfigError, ExperimentConfig, _fit_cell,
-                          _fixed_alpha, _kind_for, _load_series,
-                          _regression_datasets, emit_paths_figure,
-                          run_classification, run_comparison,
-                          run_sensitivity)
+from .experiments import (ConfigError, ExperimentConfig, emit_paths_figure,
+                          fit_forecaster, load_series, run_classification,
+                          run_comparison, run_sensitivity)
 from .lstm import save_checkpoint
-from .metrics import r2
 from .training import TrainConfig
 
 ALL_ACTIVATIONS = "brownian,relu,leaky_relu,prelu,tanh,gelu"
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_describe(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
     config = _experiment_config(st, "1000", "learned", ALL_ACTIVATIONS)
-    series = _load_series(config)
+    series = load_series(config)
     values = series.values
     label = "raw"
     if not st.pick("raw", False):
@@ -250,26 +247,20 @@ def cmd_describe(ns: argparse.Namespace) -> int:
 def cmd_train(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
     config = _experiment_config(st, "1000", "learned", "brownian")
-    if len(config.activations) != 1:
-        raise ConfigError("train takes exactly one activation")
-    datasets = _regression_datasets(config)
-    name, train_ds, _, test_ds = datasets
-    kind = _kind_for(config, config.activations[0])
-    seed = config.seeds[0]
-    params, history, train_cfg, test_mse, test_preds = _fit_cell(
-        config, kind, seed, datasets, "mse", _fixed_alpha(config))
+    fit = fit_forecaster(config)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     history_path = os.path.join(out_dir, "history.csv")
     model_path = os.path.join(out_dir, "model.json")
-    history.to_csv(history_path)
-    save_checkpoint(model_path, params, kind)
-    r2_test = r2(test_preds, test_ds.targets)
-    alpha_note = f" alpha={params.alpha:.6f}" if kind.has_alpha else ""
-    print(f"dataset={name} activation={kind.display_name} seed={seed} "
-          f"epochs={history.executed_epochs} "
-          f"converged={history.epoch_of_convergence} "
-          f"test_mse={test_mse:.6f} r2_test={r2_test:.6f}{alpha_note}")
+    fit.history.to_csv(history_path)
+    save_checkpoint(model_path, fit.params, fit.kind)
+    alpha_note = (f" alpha={fit.params.alpha:.6f}"
+                  if fit.kind.has_alpha else "")
+    print(f"dataset={fit.dataset} activation={fit.kind.display_name} "
+          f"seed={fit.seed} epochs={fit.history.executed_epochs} "
+          f"converged={fit.history.epoch_of_convergence} "
+          f"test_mse={fit.test_mse:.6f} r2_test={fit.r2_test:.6f}"
+          f"{alpha_note}")
     print(f"wrote {history_path} and {model_path}")
     return 0
 

@@ -30,11 +30,11 @@ from .data import (PriceSeries, SequenceDataset, TabularDataset,
                    chronological_split, load_csv_prices, load_csv_tabular,
                    make_windows, minmax_normalize, synth_gbm,
                    synth_sine_trend, synth_tabular)
-from .lstm import init_params
+from .lstm import LstmParams, init_params
 from .metrics import confusion_metrics, r2, roc_auc
 from .numerics import RngStream
 from .svgplot import line_plot
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, TrainHistory, evaluate, train
 
 FORMAT_VERSION = 1
 DEFAULT_ALPHA = 0.25
@@ -241,7 +241,8 @@ def _dataset_stem(path: str) -> str:
     return os.path.splitext(base)[0] or base
 
 
-def _load_series(config: ExperimentConfig) -> PriceSeries:
+def load_series(config: ExperimentConfig) -> PriceSeries:
+    """The configured price series, named by dataset_name or its source."""
     if config.data_path is not None:
         series = load_csv_prices(config.data_path, config.value_column)
         series.name = config.dataset_name or _dataset_stem(config.data_path)
@@ -275,7 +276,7 @@ def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
 
 def _regression_datasets(config: ExperimentConfig):
     """Load, normalize, window, and split; independent of seed/activation."""
-    series = _load_series(config)
+    series = load_series(config)
     values = series.values
     if config.norm_scope == "train":
         boundary = int(math.floor(config.split * values.size))
@@ -341,6 +342,37 @@ def _fit_cell(config: ExperimentConfig, kind: ActivationKind, seed: int,
                                      test_ds.targets, train_cfg,
                                      RngStream(seed, _TEST_EVAL_STREAM))
     return params, history, train_cfg, test_loss, test_preds
+
+
+@dataclass
+class Forecast:
+    """One trained forecaster: the model, its history and test scores."""
+
+    dataset: str
+    kind: ActivationKind
+    seed: int
+    params: LstmParams
+    history: TrainHistory
+    test_mse: float
+    r2_test: float
+
+
+def fit_forecaster(config: ExperimentConfig) -> Forecast:
+    """Train the one configured activation at the first seed.
+
+    The cell is built exactly as in run_comparison: the same data,
+    split, initial weights and test-evaluation stream.
+    """
+    if len(config.activations) != 1:
+        raise ConfigError("train takes exactly one activation")
+    datasets = _regression_datasets(config)
+    kind = _kind_for(config, config.activations[0])
+    seed = config.seeds[0]
+    params, history, _, test_mse, test_preds = _fit_cell(
+        config, kind, seed, datasets, "mse", _fixed_alpha(config))
+    return Forecast(dataset=datasets[0], kind=kind, seed=seed,
+                    params=params, history=history, test_mse=test_mse,
+                    r2_test=r2(test_preds, datasets[3].targets))
 
 
 def _regression_row(config: ExperimentConfig, name: str, seed: int,

@@ -20,9 +20,12 @@ both activation sites of every timestep.
 
 Shapes follow the column convention: x_t is (d, B), h_t and C_t are
 (n, B), predictions are (out, B).  B is the number of sequences pushed
-through together and is 1 for single-sequence use.  Internally the four
-gate blocks are stacked into single (4n, .) matrices so each timestep
-costs two matrix products; parameters stay per-gate in LstmParams.
+through together and is 1 for single-sequence use.  LstmParams stores
+the four gate blocks stacked as W (4n, d), U (4n, n) and b (4n, 1), rows
+in GATE_ORDER = [f; i; o; c], so each timestep costs two matrix
+products.  Checkpoint files (format_version 1) keep one array per gate
+and matrix (w_f, u_f, b_f, ..., w_y, b_y); save_checkpoint splits the
+row blocks and load_checkpoint joins them.
 """
 
 from __future__ import annotations
@@ -38,50 +41,51 @@ from .activations import (ActivationCache, ActivationKind, backward_alpha,
                           backward_input, forward)
 from .numerics import RngStream
 
-PARAM_KEYS = ("w_f", "u_f", "b_f", "w_i", "u_i", "b_i",
-              "w_c", "u_c", "b_c", "w_o", "u_o", "b_o",
-              "w_y", "b_y")
+# Row blocks of the stacked gate matrices: the three sigmoid gates,
+# then the candidate.
+GATE_ORDER = ("f", "i", "o", "c")
+PARAM_KEYS = ("w", "u", "b", "w_y", "b_y")
+# Per-gate order of the init draws and of the checkpoint file's arrays.
+_FILE_GATES = ("f", "i", "c", "o")
 _INIT_STREAM = 101
 CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable in both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
+    # below, with the exponent never positive.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _rows(gate: str, n: int) -> slice:
+    """Row block of one gate in the stacked (4n, .) matrices."""
+    k = GATE_ORDER.index(gate)
+    return slice(k * n, (k + 1) * n)
 
 
 @dataclass
 class LstmParams:
-    """All learnable state: per-gate weights, head weights, and alpha."""
+    """All learnable state: stacked gate weights, head weights, and alpha.
 
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_c: np.ndarray
-    u_c: np.ndarray
-    b_c: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
+    w (4n, d), u (4n, n) and b (4n, 1) hold the gates in GATE_ORDER row
+    blocks; w_y (out, n) and b_y (out, 1) are the dense head.
+    """
+
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
     w_y: np.ndarray
     b_y: np.ndarray
     alpha: float = 0.25
 
     @property
     def input_dim(self) -> int:
-        return self.w_f.shape[1]
+        return self.w.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_f.shape[0]
+        return self.u.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -102,7 +106,7 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
 
     Weight matrices draw from U(-a, a) with a = sqrt(6 / (fan_in +
     fan_out)); the draw order is fixed (w then u per gate f, i, c, o,
-    then the head) so a seed pins every entry.
+    each into its row block, then the head) so a seed pins every entry.
     """
     if input_dim < 1 or hidden_dim < 1 or output_dim < 1:
         raise ValueError(
@@ -116,31 +120,16 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
         return stream.uniform(-limit, limit, size=(rows, cols))
 
     d, n, out = input_dim, hidden_dim, output_dim
-    kw: dict[str, np.ndarray] = {}
-    for gate in ("f", "i", "c", "o"):
-        kw[f"w_{gate}"] = xavier(n, d, d, n)
-        kw[f"u_{gate}"] = xavier(n, n, n, n)
-        kw[f"b_{gate}"] = np.zeros((n, 1))
-    kw["b_f"] = np.ones((n, 1))
-    kw["w_y"] = xavier(out, n, n, out)
-    kw["b_y"] = np.zeros((out, 1))
-    return LstmParams(alpha=float(alpha), **kw)
-
-
-@dataclass
-class _Stacked:
-    # Gate rows: [f; i; o] (sigmoid block), then candidate c.
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-
-
-def _stack(params: LstmParams) -> _Stacked:
-    return _Stacked(
-        w=np.concatenate([params.w_f, params.w_i, params.w_o, params.w_c]),
-        u=np.concatenate([params.u_f, params.u_i, params.u_o, params.u_c]),
-        b=np.concatenate([params.b_f, params.b_i, params.b_o, params.b_c]),
-    )
+    w = np.empty((4 * n, d))
+    u = np.empty((4 * n, n))
+    b = np.zeros((4 * n, 1))
+    for gate in _FILE_GATES:
+        w[_rows(gate, n)] = xavier(n, d, d, n)
+        u[_rows(gate, n)] = xavier(n, n, n, n)
+    b[_rows("f", n)] = 1.0
+    w_y = xavier(out, n, n, out)
+    return LstmParams(w=w, u=u, b=b, w_y=w_y, b_y=np.zeros((out, 1)),
+                      alpha=float(alpha))
 
 
 @dataclass
@@ -175,64 +164,25 @@ class ForwardTrace:
         return [(s.cand_cache.zbar, s.cell_cache.zbar) for s in self.steps]
 
 
-def _step(stacked: _Stacked, n: int, kind: ActivationKind, alpha: float,
+def _step(params: LstmParams, n: int, kind: ActivationKind,
           x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
           rng: RngStream | None, frozen: tuple | None,
           noise_mode: str) -> StepTrace:
-    z = stacked.w @ x + stacked.u @ h_prev + stacked.b
+    z = params.w @ x + params.u @ h_prev + params.b
     g = _sigmoid(z[:3 * n])
     f, i, o = g[:n], g[n:2 * n], g[2 * n:]
     zc_frozen = frozen[0] if frozen is not None else None
     c_frozen = frozen[1] if frozen is not None else None
-    c_tilde, cand_cache = forward(kind, z[3 * n:], alpha, rng,
+    c_tilde, cand_cache = forward(kind, z[3 * n:], params.alpha, rng,
                                   frozen_zbar=zc_frozen,
                                   noise_mode=noise_mode)
     c = f * c_prev + i * c_tilde
-    a, cell_cache = forward(kind, c, alpha, rng, frozen_zbar=c_frozen,
-                            noise_mode=noise_mode)
+    a, cell_cache = forward(kind, c, params.alpha, rng,
+                            frozen_zbar=c_frozen, noise_mode=noise_mode)
     h = o * a
     return StepTrace(x=x, h_prev=h_prev, c_prev=c_prev, f=f, i=i, o=o,
                      c_tilde=c_tilde, cand_cache=cand_cache, c=c, a=a,
                      cell_cache=cell_cache, h=h)
-
-
-def _as_column_batch(arr, rows: int, name: str = "timestep input") -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] != rows:
-        raise ValueError(
-            f"{name} shape {arr.shape} does not match expected row count "
-            f"{rows}"
-        )
-    return arr
-
-
-def cell_forward(params: LstmParams, x_t, h_prev, c_prev,
-                 kind: ActivationKind, rng: RngStream | None = None,
-                 noise_mode: str = "sample"):
-    """One LSTM step.
-
-    Arguments:
-        x_t     input column(s), shape (d, B)
-        h_prev  previous hidden state, shape (n, B)
-        c_prev  previous cell state, shape (n, B)
-
-    Returns:
-        (h_t, c_t, step_trace)
-    """
-    x_t = _as_column_batch(x_t, params.input_dim)
-    n = params.hidden_dim
-    h_prev = _as_column_batch(h_prev, n, "hidden state")
-    c_prev = _as_column_batch(c_prev, n, "cell state")
-    if not (x_t.shape[1] == h_prev.shape[1] == c_prev.shape[1]):
-        raise ValueError(
-            f"batch sizes disagree: x {x_t.shape[1]}, h {h_prev.shape[1]}, "
-            f"C {c_prev.shape[1]}"
-        )
-    trace = _step(_stack(params), n, kind, params.alpha, x_t, h_prev,
-                  c_prev, rng, None, noise_mode)
-    return trace.h, trace.c, trace
 
 
 def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
@@ -272,14 +222,13 @@ def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
         )
 
     n = params.hidden_dim
-    stacked = _stack(params)
     h = np.zeros((n, batch))
     c = np.zeros((n, batch))
     trace = ForwardTrace(kind=kind, head=head)
     for t in range(t_len):
         frozen = noise[t] if noise is not None else None
-        step = _step(stacked, n, kind, params.alpha, inputs[t], h, c,
-                     rng, frozen, noise_mode)
+        step = _step(params, n, kind, inputs[t], h, c, rng, frozen,
+                     noise_mode)
         trace.steps.append(step)
         h, c = step.h, step.c
     logit = params.w_y @ h + params.b_y
@@ -311,8 +260,6 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
             f"{trace.prediction.shape}"
         )
     kind = trace.kind
-    n = params.hidden_dim
-    stacked = _stack(params)
 
     if trace.head == "sigmoid":
         p = trace.prediction
@@ -320,15 +267,11 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
     else:
         dlogit = d_pred
     h_last = trace.steps[-1].h
-    grads: dict[str, np.ndarray | float] = {
-        "w_y": dlogit @ h_last.T,
-        "b_y": dlogit.sum(axis=1, keepdims=True),
-    }
     dh = params.w_y.T @ dlogit
     dc = np.zeros_like(h_last)
-    dw = np.zeros_like(stacked.w)
-    du = np.zeros_like(stacked.u)
-    db = np.zeros_like(stacked.b)
+    dw = np.zeros_like(params.w)
+    du = np.zeros_like(params.u)
+    db = np.zeros_like(params.b)
     dalpha = 0.0
 
     for step in reversed(trace.steps):
@@ -352,29 +295,30 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
         dw += dz @ step.x.T
         du += dz @ step.h_prev.T
         db += dz.sum(axis=1, keepdims=True)
-        dh = stacked.u.T @ dz
+        dh = params.u.T @ dz
         dc = dc * step.f
 
-    for row, gate in enumerate(("f", "i", "o", "c")):
-        grads[f"w_{gate}"] = dw[row * n:(row + 1) * n]
-        grads[f"u_{gate}"] = du[row * n:(row + 1) * n]
-        grads[f"b_{gate}"] = db[row * n:(row + 1) * n]
-    grads["alpha"] = dalpha
-    return grads
+    return {"w": dw, "u": du, "b": db, "w_y": dlogit @ h_last.T,
+            "b_y": dlogit.sum(axis=1, keepdims=True), "alpha": dalpha}
 
 
 def save_checkpoint(path: str, params: LstmParams,
                     kind: ActivationKind) -> None:
     """Write parameters and activation config to JSON.
 
-    Floats serialize via repr (shortest round-trip), so load followed by
-    save reproduces the file and the arrays bit for bit.
+    The stacked gate matrices are split into one array per gate.  Floats
+    serialize via repr (shortest round-trip), so load followed by save
+    reproduces the file and the arrays bit for bit.
     """
+    n = params.hidden_dim
+    arrays = {f"{name}_{gate}": getattr(params, name)[_rows(gate, n)].tolist()
+              for gate in _FILE_GATES for name in ("w", "u", "b")}
+    arrays.update(w_y=params.w_y.tolist(), b_y=params.b_y.tolist())
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "dims": {
             "input": params.input_dim,
-            "hidden": params.hidden_dim,
+            "hidden": n,
             "output": params.output_dim,
         },
         "activation": {
@@ -386,8 +330,7 @@ def save_checkpoint(path: str, params: LstmParams,
             "input_grad": kind.input_grad,
         },
         "alpha": params.alpha,
-        "arrays": {key: getattr(params, key).tolist()
-                   for key in PARAM_KEYS},
+        "arrays": arrays,
     }
     parent = os.path.dirname(path)
     if parent:
@@ -398,7 +341,11 @@ def save_checkpoint(path: str, params: LstmParams,
 
 
 def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    Every array is checked against the stored dims; a missing key or a
+    wrong shape raises ValueError naming the key.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -406,15 +353,40 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
         raise ValueError(
             f"unsupported checkpoint format_version {version!r}"
         )
-    act = doc["activation"]
-    kind = ActivationKind(act["name"], slope=act["slope"], m=act["m"],
-                          epsilon=act["epsilon"], sampling=act["sampling"],
-                          input_grad=act["input_grad"])
-    kw = {key: np.asarray(doc["arrays"][key], dtype=np.float64)
-          for key in PARAM_KEYS}
-    params = LstmParams(alpha=float(doc["alpha"]), **kw)
-    dims = doc["dims"]
-    if (params.input_dim, params.hidden_dim, params.output_dim) != (
-            dims["input"], dims["hidden"], dims["output"]):
-        raise ValueError("checkpoint dims do not match stored arrays")
+    try:
+        act = doc["activation"]
+        kind = ActivationKind(act["name"], slope=act["slope"], m=act["m"],
+                              epsilon=act["epsilon"],
+                              sampling=act["sampling"],
+                              input_grad=act["input_grad"])
+        dims = doc["dims"]
+        d, n, out = dims["input"], dims["hidden"], dims["output"]
+        shapes = {f"{name}_{gate}": (n, cols) for gate in _FILE_GATES
+                  for name, cols in (("w", d), ("u", n), ("b", 1))}
+        shapes.update(w_y=(out, n), b_y=(out, 1))
+        alpha = float(doc["alpha"])
+        stored = doc["arrays"]
+        arrays = {}
+        for key, shape in shapes.items():
+            try:
+                arr = np.asarray(stored[key], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"checkpoint array '{key}' is not a numeric matrix"
+                ) from None
+            if arr.shape != shape:
+                raise ValueError(
+                    f"checkpoint array '{key}' has shape {arr.shape}, "
+                    f"expected {shape}"
+                )
+            arrays[key] = arr
+    except KeyError as exc:
+        raise ValueError(f"checkpoint is missing key {exc}") from None
+
+    def join(name: str) -> np.ndarray:
+        return np.concatenate([arrays[f"{name}_{gate}"]
+                               for gate in GATE_ORDER])
+
+    params = LstmParams(w=join("w"), u=join("u"), b=join("b"),
+                        w_y=arrays["w_y"], b_y=arrays["b_y"], alpha=alpha)
     return params, kind

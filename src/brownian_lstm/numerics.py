@@ -1,9 +1,7 @@
 """Matrix conventions and deterministic random streams.
 
 Every tensor in this library is a 2-D, C-order, float64 numpy array;
-column vectors have shape (n, 1).  matmul and elementwise are thin
-shape-checked wrappers so dimension errors surface with both operand
-shapes in the message instead of deep inside a traceback.
+column vectors have shape (n, 1).
 
 All randomness flows through RngStream, a counter-based (Philox) bit
 stream keyed by (seed, stream_id).  Gaussian variates come from the
@@ -109,68 +107,3 @@ class RngStream:
             size *= int(dim)
         flat = self.standard_normals(size)
         return (mean + std * flat).reshape(shape)
-
-
-def gaussian(stream: RngStream, mean: float, std: float) -> float:
-    """One draw from N(mean, std**2); std == 0 returns mean exactly."""
-    mean = float(mean)
-    std = float(std)
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if not math.isfinite(std) or std < 0.0:
-        raise ValueError(f"std must be finite and non-negative, got {std}")
-    if std == 0.0:
-        return mean
-    return mean + std * float(stream.standard_normals(1)[0])
-
-
-def matrix(data) -> np.ndarray:
-    """Coerce data to the library's matrix format: 2-D C-order float64.
-
-    Raises ValueError if the result is not 2-D or contains non-finite
-    entries.
-    """
-    a = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    return a
-
-
-def _check_2d(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _check_2d(a, "left operand")
-    b = _check_2d(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def elementwise(a, b, op: str) -> np.ndarray:
-    """Elementwise combine of two same-shape matrices.
-
-    op is one of 'add', 'sub', 'hadamard'.
-    """
-    a = _check_2d(a, "left operand")
-    b = _check_2d(b, "right operand")
-    if a.shape != b.shape:
-        raise ValueError(
-            f"elementwise shape mismatch: {a.shape} vs {b.shape}"
-        )
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "hadamard":
-        return a * b
-    raise ValueError(f"unknown elementwise op '{op}'")

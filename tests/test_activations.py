@@ -6,7 +6,7 @@ from scipy.special import erf
 
 from brownian_lstm.activations import (ActivationCache, ActivationKind,
                                        backward_alpha, backward_input,
-                                       brownian_mean_path, forward)
+                                       forward)
 from brownian_lstm.numerics import RngStream
 
 from helpers import rel_error
@@ -82,6 +82,10 @@ class TestBrownianForward:
         y1, cache = forward(kind, x, alpha=0.8, rng=RngStream(6))
         y2, _ = forward(kind, x, alpha=0.8, frozen_zbar=cache.zbar)
         assert y1.tobytes() == y2.tobytes()
+        # Known noise: f(-4) = -0.8 * sqrt(4) * 0.5 and f(0) = 0.
+        y3, _ = forward(kind, np.array([-4.0, 0.0]), alpha=0.8,
+                        frozen_zbar=np.array([0.5, 0.3]))
+        np.testing.assert_array_equal(y3, [-0.8, 0.0])
 
     def test_negative_branch_law(self):
         # f(x) = -alpha sqrt(|x|) zbar with zbar ~ N(0, 1/M): mean 0,
@@ -120,37 +124,6 @@ class TestBrownianForward:
         y1, _ = forward(kind, x, alpha=0.3, rng=RngStream(77, 2))
         y2, _ = forward(kind, x, alpha=0.3, rng=RngStream(77, 2))
         assert y1.tobytes() == y2.tobytes()
-
-
-class TestMeanPath:
-    def test_zero_input_gives_zero(self):
-        assert brownian_mean_path(0.0, 5, RngStream(1)) == 0.0
-
-    def test_known_noise_arithmetic(self):
-        # b = sqrt(|-4|) * 0.5 = 1.0 at frozen zbar.
-        assert brownian_mean_path(-4.0, 1, zbar=0.5) == 1.0
-
-    def test_positive_input_rejected(self):
-        with pytest.raises(ValueError, match="x <= 0"):
-            brownian_mean_path(1.0, 5, RngStream(1))
-
-    def test_bad_m_rejected(self):
-        with pytest.raises(ValueError, match="M"):
-            brownian_mean_path(-1.0, 0, RngStream(1))
-
-    def test_empirical_std(self):
-        # b ~ N(0, |x|/M): std = sqrt(4/100) = 0.2.
-        stream = RngStream(8)
-        draws = np.array([brownian_mean_path(-4.0, 100, stream)
-                          for _ in range(10_000)])
-        assert abs(draws.std(ddof=1) / 0.2 - 1.0) < 0.05
-
-    def test_explicit_sampling_path(self):
-        stream = RngStream(9)
-        draws = np.array([brownian_mean_path(-4.0, 100, stream,
-                                             sampling="explicit")
-                          for _ in range(2_000)])
-        assert abs(draws.std(ddof=1) / 0.2 - 1.0) < 0.05
 
 
 class TestBackwardInput:

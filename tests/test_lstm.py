@@ -1,4 +1,7 @@
-"""LSTM cell, sequence forward, BPTT gradients, and checkpoints."""
+"""LSTM initialisation, sequence forward, BPTT gradients, and checkpoints."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from brownian_lstm.activations import (ActivationKind, backward_alpha,
                                        backward_input)
 from brownian_lstm.lstm import (PARAM_KEYS, LstmParams, backward_bptt,
-                                cell_forward, init_params, load_checkpoint,
+                                init_params, load_checkpoint,
                                 save_checkpoint, sequence_forward)
 from brownian_lstm.numerics import RngStream
 
@@ -15,17 +18,21 @@ from helpers import loss_at, numeric_gradients, rel_error
 DET_KINDS = [ActivationKind.relu(), ActivationKind.leaky_relu(),
              ActivationKind.prelu(), ActivationKind.tanh(),
              ActivationKind.gelu()]
+# A v1 checkpoint of init_params(2, 3, 1, seed=5) with a brownian kind
+# (M = 500), written by the per-gate implementation that defined the
+# format.
+FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                       "checkpoint_v1.json")
 
 
 def _zero_params(d, n, out, alpha=0.25):
-    kw = {}
-    for gate in ("f", "i", "c", "o"):
-        kw[f"w_{gate}"] = np.zeros((n, d))
-        kw[f"u_{gate}"] = np.zeros((n, n))
-        kw[f"b_{gate}"] = np.zeros((n, 1))
-    kw["w_y"] = np.zeros((out, n))
-    kw["b_y"] = np.zeros((out, 1))
-    return LstmParams(alpha=alpha, **kw)
+    return LstmParams(w=np.zeros((4 * n, d)), u=np.zeros((4 * n, n)),
+                      b=np.zeros((4 * n, 1)), w_y=np.zeros((out, n)),
+                      b_y=np.zeros((out, 1)), alpha=alpha)
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 class TestInit:
@@ -34,26 +41,33 @@ class TestInit:
         b = init_params(3, 5, 1, seed=11)
         for key in PARAM_KEYS:
             assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
-        assert not np.array_equal(a.w_f, init_params(3, 5, 1, seed=12).w_f)
+        assert not np.array_equal(a.w, init_params(3, 5, 1, seed=12).w)
+
+    def test_shapes(self):
+        p = init_params(3, 5, 2, seed=1)
+        shapes = {key: value.shape for key, value in p.arrays().items()}
+        assert shapes == {"w": (20, 3), "u": (20, 5), "b": (20, 1),
+                          "w_y": (2, 5), "b_y": (2, 1)}
 
     def test_biases_and_alpha(self):
+        # The forget gate is the first row block of the stacked bias.
         p = init_params(2, 4, 1, seed=0)
-        np.testing.assert_array_equal(p.b_f, np.ones((4, 1)))
-        for key in ("b_i", "b_c", "b_o", "b_y"):
-            np.testing.assert_array_equal(getattr(p, key), 0.0)
+        np.testing.assert_array_equal(p.b[:4], np.ones((4, 1)))
+        np.testing.assert_array_equal(p.b[4:], 0.0)
+        np.testing.assert_array_equal(p.b_y, 0.0)
         assert p.alpha == 0.25
 
     def test_xavier_variance(self):
         # U(-a, a) with a = sqrt(6 / (fan_in + fan_out)) has variance
         # a^2 / 3 = 2 / (fan_in + fan_out).
         p = init_params(100, 100, 1, seed=5)
-        sample_var = p.u_f.var(ddof=1)
+        sample_var = p.u[:100].var(ddof=1)
         assert abs(sample_var / (2.0 / 200) - 1.0) < 0.15
 
     def test_bounds(self):
         p = init_params(10, 20, 1, seed=9)
         limit = np.sqrt(6.0 / 30)
-        assert np.abs(p.w_f).max() < limit
+        assert np.abs(p.w).max() < limit
 
     def test_bad_dims(self):
         with pytest.raises(ValueError, match="positive"):
@@ -61,56 +75,67 @@ class TestInit:
 
 
 class TestCellForward:
+    """One cell step from the zero state, read from trace.steps[0]."""
+
     def test_zero_params_relu_hand_case(self):
-        # All weights zero: every gate is sigmoid(0) = 0.5.  With
-        # C_prev = 2: C = 0.5 * 2 + 0.5 * relu(0) = 1, h = 0.5 * relu(1).
+        # All weights zero and candidate bias 2: every gate is
+        # sigmoid(0) = 0.5, c~ = relu(2) = 2, C = 0.5 * 0 + 0.5 * 2 = 1,
+        # h = 0.5 * relu(1).
         p = _zero_params(1, 1, 1)
-        h, c, _ = cell_forward(p, np.array([[3.0]]), np.array([[0.0]]),
-                               np.array([[2.0]]), ActivationKind.relu())
-        assert c[0, 0] == 1.0
-        assert h[0, 0] == 0.5
+        p.b[3] = 2.0
+        _, trace = sequence_forward(p, np.array([[3.0]]),
+                                    ActivationKind.relu())
+        step = trace.steps[0]
+        assert step.c[0, 0] == 1.0
+        assert step.h[0, 0] == 0.5
 
     def test_zero_params_tanh_hand_case(self):
         p = _zero_params(1, 1, 1)
-        h, c, _ = cell_forward(p, np.array([[1.0]]), np.array([[0.0]]),
-                               np.array([[2.0]]), ActivationKind.tanh())
-        assert c[0, 0] == 1.0
-        assert h[0, 0] == pytest.approx(0.5 * np.tanh(1.0), rel=1e-15)
+        p.b[3] = 2.0
+        _, trace = sequence_forward(p, np.array([[1.0]]),
+                                    ActivationKind.tanh())
+        step = trace.steps[0]
+        assert step.c[0, 0] == 0.5 * np.tanh(2.0)
+        assert step.h[0, 0] == pytest.approx(
+            0.5 * np.tanh(0.5 * np.tanh(2.0)), rel=1e-15)
 
     def test_shapes_single_and_batch(self):
         p = init_params(3, 4, 1, seed=2)
-        h, c, _ = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)),
-                               np.zeros((4, 1)), ActivationKind.tanh())
-        assert h.shape == (4, 1) and c.shape == (4, 1)
-        h, c, _ = cell_forward(p, np.zeros((3, 7)), np.zeros((4, 7)),
-                               np.zeros((4, 7)), ActivationKind.tanh())
-        assert h.shape == (4, 7) and c.shape == (4, 7)
-
-    def test_state_shape_mismatch_rejected(self):
-        p = init_params(3, 4, 1, seed=2)
-        with pytest.raises(ValueError, match="hidden state"):
-            cell_forward(p, np.zeros((3, 1)), np.zeros((5, 1)),
-                         np.zeros((4, 1)), ActivationKind.tanh())
+        _, trace = sequence_forward(p, np.zeros((1, 3)),
+                                    ActivationKind.tanh())
+        assert trace.steps[0].h.shape == (4, 1)
+        assert trace.steps[0].c.shape == (4, 1)
+        _, trace = sequence_forward(p, np.zeros((1, 3, 7)),
+                                    ActivationKind.tanh())
+        assert trace.steps[0].h.shape == (4, 7)
+        assert trace.steps[0].c.shape == (4, 7)
 
     def test_gates_strictly_inside_unit_interval(self):
         p = init_params(2, 6, 1, seed=3)
-        x = RngStream(4).normals((2, 5))
-        _, _, trace = cell_forward(p, x, np.zeros((6, 5)), np.zeros((6, 5)),
-                                   ActivationKind.tanh())
-        for gate in (trace.f, trace.i, trace.o):
+        x = RngStream(4).normals((1, 2, 5))
+        _, trace = sequence_forward(p, x, ActivationKind.tanh())
+        step = trace.steps[0]
+        for gate in (step.f, step.i, step.o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
 
 class TestSequenceForward:
     def test_one_step_equals_cell_plus_head(self):
-        p = init_params(2, 3, 1, seed=6)
+        # Rows of the stacked matrices are [f; i; o; c]; from the zero
+        # state C = i * c~ and h = o * tanh(C).
+        n = 3
+        p = init_params(2, n, 1, seed=6)
         x = RngStream(7).normals((1, 2))
-        kind = ActivationKind.tanh()
-        pred, trace = sequence_forward(p, x, kind)
-        h, c, _ = cell_forward(p, x[0].reshape(-1, 1), np.zeros((3, 1)),
-                               np.zeros((3, 1)), kind)
-        expected = p.w_y @ h + p.b_y
-        assert pred.tobytes() == expected.tobytes()
+        pred, trace = sequence_forward(p, x, ActivationKind.tanh())
+        z = p.w @ x[0].reshape(-1, 1) + p.b
+        f, i, o = (_sigmoid(z[k * n:(k + 1) * n]) for k in range(3))
+        c = i * np.tanh(z[3 * n:])
+        h = o * np.tanh(c)
+        step = trace.steps[0]
+        for got, want in ((step.f, f), (step.i, i), (step.o, o),
+                          (step.c, c), (step.h, h),
+                          (pred, p.w_y @ h + p.b_y)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_zero_params_heads(self):
         p = _zero_params(1, 2, 1)
@@ -221,7 +246,6 @@ class TestBackwardBptt:
 
         # Recompute the per-step upstream signals by replaying the
         # backward recurrence with the public per-site primitives.
-        stacked_u = np.concatenate([p.u_f, p.u_i, p.u_o, p.u_c])
         dh = p.w_y.T @ np.array([[1.0]])
         dc = np.zeros_like(dh)
         total = 0.0
@@ -238,7 +262,7 @@ class TestBackwardBptt:
             dz = np.concatenate([df * step.f * (1 - step.f),
                                  di * step.i * (1 - step.i),
                                  do * step.o * (1 - step.o), dzc])
-            dh = stacked_u.T @ dz
+            dh = p.u.T @ dz
             dc = dc * step.f
         assert grads["alpha"] == pytest.approx(total, rel=1e-12)
 
@@ -273,6 +297,51 @@ class TestCheckpoint:
                                        '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="format_version"):
+            load_checkpoint(str(path))
+
+    def test_init_writes_the_fixture_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), init_params(2, 3, 1, seed=5),
+                        ActivationKind.brownian(m=500))
+        with open(FIXTURE, "rb") as fh:
+            assert path.read_bytes() == fh.read()
+
+    def test_fixture_round_trips_byte_for_byte(self, tmp_path):
+        params, kind = load_checkpoint(FIXTURE)
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), params, kind)
+        with open(FIXTURE, "rb") as fh:
+            assert path.read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("u_f", np.zeros((5, 4)).tolist(),
+         r"'u_f' has shape \(5, 4\), expected \(4, 4\)"),
+        ("u_f", np.zeros((4, 5)).tolist(),
+         r"'u_f' has shape \(4, 5\), expected \(4, 4\)"),
+        ("w_c", np.zeros((4, 3)).tolist(),
+         r"'w_c' has shape \(4, 3\), expected \(4, 2\)"),
+        ("b_o", np.zeros(4).tolist(),
+         r"'b_o' has shape \(4,\), expected \(4, 1\)"),
+        ("w_y", np.zeros((1, 5)).tolist(),
+         r"'w_y' has shape \(1, 5\), expected \(1, 4\)"),
+        ("b_y", np.zeros((2, 1)).tolist(),
+         r"'b_y' has shape \(2, 1\), expected \(1, 1\)"),
+        ("u_o", [[0.0] * 4] * 3 + [[0.0]], r"'u_o' is not a numeric matrix"),
+        ("w_i", None, r"missing key 'w_i'"),
+        ("b_y", None, r"missing key 'b_y'"),
+    ])
+    def test_malformed_arrays_rejected(self, tmp_path, key, value, message):
+        # d = 2, n = 4, out = 1.
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
+                        ActivationKind.relu())
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc["arrays"][key]
+        else:
+            doc["arrays"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(str(path))
 
 

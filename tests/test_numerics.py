@@ -1,65 +1,9 @@
-"""Matrix wrappers and the deterministic Gaussian stream."""
+"""The deterministic Gaussian stream."""
 
 import numpy as np
 import pytest
 
-from brownian_lstm.numerics import (RngStream, elementwise, gaussian, matmul,
-                                    matrix)
-
-
-class TestMatrixOps:
-    def test_matmul_hand_product(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(42)
-        a = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(matmul(np.eye(4), a), a)
-
-    def test_matmul_shape_error_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_matmul_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            matmul(np.ones(3), np.ones((3, 1)))
-
-    def test_elementwise_ops(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(elementwise(a, b, "add"), a + b)
-        np.testing.assert_array_equal(elementwise(a, b, "sub"), a - b)
-        np.testing.assert_array_equal(elementwise(a, b, "hadamard"), a * b)
-
-    def test_elementwise_shape_error(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            elementwise(np.ones((2, 2)), np.ones((2, 3)), "add")
-
-    def test_elementwise_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown elementwise op"):
-            elementwise(np.ones((2, 2)), np.ones((2, 2)), "div")
-
-    def test_matrix_coercion_and_validation(self):
-        m = matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
-        with pytest.raises(ValueError, match="2-D"):
-            matrix([1.0, 2.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix([[np.nan, 1.0]])
-
-    def test_matmul_associativity_within_tolerance(self):
-        # (AB)C vs A(BC) agree to relative 1e-10 on moderate matrices.
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(5, 8))
-            b = rng.normal(size=(8, 6))
-            c = rng.normal(size=(6, 4))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = max(np.abs(left).max(), 1.0)
-            assert np.abs(left - right).max() / denom < 1e-10
+from brownian_lstm.numerics import RngStream
 
 
 class TestRngStream:
@@ -97,18 +41,6 @@ class TestRngStream:
         assert a.tobytes() == a2.tobytes()
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 0.03
-
-    def test_gaussian_zero_std_returns_mean_exactly(self):
-        assert gaussian(RngStream(1), 2.5, 0.0) == 2.5
-
-    def test_gaussian_validation(self):
-        stream = RngStream(1)
-        with pytest.raises(ValueError, match="std"):
-            gaussian(stream, 0.0, -1.0)
-        with pytest.raises(ValueError, match="std"):
-            gaussian(stream, 0.0, np.inf)
-        with pytest.raises(ValueError, match="mean"):
-            gaussian(stream, np.nan, 1.0)
 
     def test_gaussian_moments(self):
         # CLT bound on the mean, 5% window on the variance; the window

@@ -74,31 +74,31 @@ class TestLosses:
 
 class TestClip:
     def test_no_clip_below_threshold(self):
-        grads = {"w_f": np.array([[3.0]]), "alpha": 4.0}
+        grads = {"w": np.array([[3.0]]), "alpha": 4.0}
         norm = clip_gradients(grads, 10.0)
         assert norm == pytest.approx(5.0, rel=1e-15)
-        assert grads["w_f"][0, 0] == 3.0 and grads["alpha"] == 4.0
+        assert grads["w"][0, 0] == 3.0 and grads["alpha"] == 4.0
 
     def test_clip_rescales_to_threshold(self):
-        grads = {"w_f": np.array([[30.0]]), "alpha": 40.0}
+        grads = {"w": np.array([[30.0]]), "alpha": 40.0}
         clip_gradients(grads, 5.0)
-        total = np.sqrt(grads["w_f"][0, 0] ** 2 + grads["alpha"] ** 2)
+        total = np.sqrt(grads["w"][0, 0] ** 2 + grads["alpha"] ** 2)
         assert total == pytest.approx(5.0, rel=1e-12)
         # Direction preserved.
-        assert grads["w_f"][0, 0] / grads["alpha"] == pytest.approx(0.75)
+        assert grads["w"][0, 0] / grads["alpha"] == pytest.approx(0.75)
 
 
 class TestOptimizerStep:
     def test_sgd_hand_case(self):
         p = init_params(1, 1, 1, seed=0)
-        p.w_f[0, 0] = 1.0
+        p.w[0, 0] = 1.0
         grads = {key: np.zeros_like(getattr(p, key)) for key in PARAM_KEYS}
         grads["alpha"] = 0.0
-        grads["w_f"] = np.array([[0.5]])
+        grads["w"][0, 0] = 0.5
         state = OptimizerState()
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
         optimizer_step(p, grads, state, cfg)
-        assert p.w_f[0, 0] == pytest.approx(0.95, rel=1e-15)
+        assert p.w[0, 0] == pytest.approx(0.95, rel=1e-15)
 
     def test_sgd_alpha_updates(self):
         p = init_params(1, 1, 1, seed=0, alpha=0.25)
@@ -113,14 +113,14 @@ class TestOptimizerStep:
         # With zero moment history, Adam's first update has magnitude
         # close to lr regardless of gradient scale.
         p = init_params(1, 1, 1, seed=0)
-        start = p.w_f[0, 0]
+        start = p.w[0, 0]
         grads = {key: np.zeros_like(getattr(p, key)) for key in PARAM_KEYS}
         grads["alpha"] = 0.0
-        grads["w_f"] = np.array([[123.0]])
+        grads["w"][0, 0] = 123.0
         state = OptimizerState()
         cfg = TrainConfig(optimizer="adam", learning_rate=0.01)
         optimizer_step(p, grads, state, cfg)
-        assert start - p.w_f[0, 0] == pytest.approx(0.01, rel=1e-6)
+        assert start - p.w[0, 0] == pytest.approx(0.01, rel=1e-6)
 
     def test_freeze_alpha_holds_through_training(self):
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=20)
@@ -156,7 +156,7 @@ class TestTrainLoop:
             p = init_params(1, 4, 1, seed=7)
             runs.append(train(p, kind, tr_in, tr_tg, va_in, va_tg, cfg))
         (pa, ha), (pb, hb) = runs
-        assert pa.w_f.tobytes() == pb.w_f.tobytes()
+        assert pa.w.tobytes() == pb.w.tobytes()
         assert pa.alpha == pb.alpha
         assert ha.train_loss == hb.train_loss
         assert ha.val_loss == hb.val_loss
