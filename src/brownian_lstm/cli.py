@@ -21,6 +21,7 @@ from .experiments import (ConfigError, ExperimentConfig, emit_paths_figure,
                           fit_forecaster, load_series, run_classification,
                           run_comparison, run_sensitivity)
 from .lstm import save_checkpoint
+from .numerics import write_text
 from .training import TrainConfig
 
 ALL_ACTIVATIONS = "brownian,relu,leaky_relu,prelu,tanh,gelu"
@@ -234,12 +235,10 @@ def cmd_describe(ns: argparse.Namespace) -> int:
           f"mean={mean:.6f} variance={variance:.6f}")
     out_dir = st.pick("out")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "describe.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("Dataset,N,Scale,Mean,Variance\n")
-            fh.write(f"{series.name},{values.size},{label},"
-                     f"{mean:.6f},{variance:.6f}\n")
+        write_text(path, "Dataset,N,Scale,Mean,Variance\n"
+                   f"{series.name},{values.size},{label},"
+                   f"{mean:.6f},{variance:.6f}\n")
         print(f"wrote {path}")
     return 0
 
@@ -248,10 +247,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
     config = _experiment_config(st, "1000", "learned", "brownian")
     fit = fit_forecaster(config)
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    history_path = os.path.join(out_dir, "history.csv")
-    model_path = os.path.join(out_dir, "model.json")
+    history_path = os.path.join(config.out_dir, "history.csv")
+    model_path = os.path.join(config.out_dir, "model.json")
     fit.history.to_csv(history_path)
     save_checkpoint(model_path, fit.params, fit.kind)
     alpha_note = (f" alpha={fit.params.alpha:.6f}"

@@ -106,6 +106,37 @@ class TabularDataset:
         return self.labels.size
 
 
+def _read_table(path: str, required_columns):
+    """Read a CSV file: (stripped header, [(row number, stripped cells)]).
+
+    Blank rows are skipped; the header is row 1.  Raises ValueError for
+    an empty file, a missing required column, or a row whose cell count
+    differs from the header's.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise ValueError(f"{path}: file is empty")
+    header = [h.strip() for h in lines[0]]
+    for column in required_columns:
+        if column not in header:
+            raise ValueError(
+                f"{path}: no '{column}' column; available columns {header}"
+            )
+    rows = []
+    for row_no, row in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise ValueError(
+                f"{path} row {row_no}: expected {len(header)} cells, "
+                f"got {len(cells)}"
+            )
+        rows.append((row_no, cells))
+    return header, rows
+
+
 def load_csv_prices(path: str, column: str = "Close") -> PriceSeries:
     """Read a dated price CSV.
 
@@ -113,50 +144,35 @@ def load_csv_prices(path: str, column: str = "Close") -> PriceSeries:
     order and the named value column.  Errors cite the offending row
     number (the header is row 1).
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    header, rows = _read_table(path, ("Date", column))
+    date_idx = header.index("Date")
+    value_idx = header.index(column)
+    dates: list[str] = []
+    values: list[float] = []
+    previous: date | None = None
+    for row_no, cells in rows:
+        raw_date = cells[date_idx]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if "Date" not in header:
-            raise ValueError(f"{path}: no 'Date' column in {header}")
-        if column not in header:
+            parsed = date.fromisoformat(raw_date)
+        except ValueError:
             raise ValueError(
-                f"{path}: no '{column}' column; available columns {header}"
+                f"{path} row {row_no}: '{raw_date}' is not an ISO-8601 date"
+            ) from None
+        if previous is not None and parsed <= previous:
+            raise ValueError(
+                f"{path} row {row_no}: dates must be strictly increasing "
+                f"({parsed} after {previous})"
             )
-        date_idx = header.index("Date")
-        value_idx = header.index(column)
-        dates: list[str] = []
-        values: list[float] = []
-        previous: date | None = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            raw_date = row[date_idx].strip()
-            try:
-                parsed = date.fromisoformat(raw_date)
-            except ValueError:
-                raise ValueError(
-                    f"{path} row {row_no}: '{raw_date}' is not an ISO-8601 "
-                    f"date"
-                ) from None
-            if previous is not None and parsed <= previous:
-                raise ValueError(
-                    f"{path} row {row_no}: dates must be strictly "
-                    f"increasing ({parsed} after {previous})"
-                )
-            previous = parsed
-            raw_value = row[value_idx].strip()
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise ValueError(
-                    f"{path} row {row_no}: '{raw_value}' is not a number"
-                ) from None
-            dates.append(raw_date)
-            values.append(value)
+        previous = parsed
+        raw_value = cells[value_idx]
+        try:
+            value = float(raw_value)
+        except ValueError:
+            raise ValueError(
+                f"{path} row {row_no}: '{raw_value}' is not a number"
+            ) from None
+        dates.append(raw_date)
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no data rows")
     return PriceSeries(dates=dates, values=np.asarray(values), name=path)
@@ -316,47 +332,29 @@ def load_csv_tabular(path: str, label_column: str = "label") -> TabularDataset:
     Label values must take exactly two distinct raw values, mapped to
     0 and 1 in sorted order (0/1 labels pass through unchanged).
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        if label_column not in header:
-            raise ValueError(
-                f"{path}: no '{label_column}' column; available columns "
-                f"{header}"
-            )
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        n_dropped = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    header, table = _read_table(path, (label_column,))
+    label_idx = header.index(label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    rows: list[list[float]] = []
+    raw_labels: list[str] = []
+    n_dropped = 0
+    for row_no, cells in table:
+        if any(cell == "" for cell in cells):
+            n_dropped += 1
+            continue
+        feats = []
+        for i, cell in enumerate(cells):
+            if i == label_idx:
                 continue
-            cells = [cell.strip() for cell in row]
-            if len(cells) != len(header):
+            try:
+                feats.append(float(cell))
+            except ValueError:
                 raise ValueError(
-                    f"{path} row {row_no}: expected {len(header)} cells, "
-                    f"got {len(cells)}"
-                )
-            if any(cell == "" for cell in cells):
-                n_dropped += 1
-                continue
-            feats = []
-            for i, cell in enumerate(cells):
-                if i == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path} row {row_no}: '{cell}' in column "
-                        f"'{header[i]}' is not a number"
-                    ) from None
-            rows.append(feats)
-            raw_labels.append(cells[label_idx])
+                    f"{path} row {row_no}: '{cell}' in column "
+                    f"'{header[i]}' is not a number"
+                ) from None
+        rows.append(feats)
+        raw_labels.append(cells[label_idx])
     if not rows:
         raise ValueError(f"{path}: no usable data rows")
     distinct = sorted(set(raw_labels))

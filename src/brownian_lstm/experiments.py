@@ -18,6 +18,7 @@ through the activation itself (and the noise it consumes).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .data import (PriceSeries, SequenceDataset, TabularDataset,
                    synth_sine_trend, synth_tabular)
 from .lstm import LstmParams, init_params
 from .metrics import confusion_metrics, r2, roc_auc
-from .numerics import RngStream
+from .numerics import RngStream, write_text
 from .svgplot import line_plot
 from .training import TrainConfig, TrainHistory, evaluate, train
 
@@ -131,32 +132,24 @@ class ExperimentReport:
     format_version: int = FORMAT_VERSION
 
     def to_csv(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.header)
-            for row in self.rows:
-                writer.writerow([_format_cell(v) for v in row])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.header)
+        for row in self.rows:
+            writer.writerow([_format_cell(v) for v in row])
+        write_text(path, buf.getvalue())
 
     def to_json(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         doc = {
             "format_version": self.format_version,
             "kind": self.kind,
             "header": list(self.header),
             "rows": self.rows,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_text(path, json.dumps(doc, indent=1) + "\n")
 
     def write(self, out_dir: str, name: str) -> tuple[str, str]:
         """Write name.csv and name.json under out_dir; returns the paths."""
-        os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, f"{name}.csv")
         json_path = os.path.join(out_dir, f"{name}.json")
         self.to_csv(csv_path)
@@ -244,7 +237,10 @@ def _dataset_stem(path: str) -> str:
 def load_series(config: ExperimentConfig) -> PriceSeries:
     """The configured price series, named by dataset_name or its source."""
     if config.data_path is not None:
-        series = load_csv_prices(config.data_path, config.value_column)
+        try:
+            series = load_csv_prices(config.data_path, config.value_column)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         series.name = config.dataset_name or _dataset_stem(config.data_path)
         return series
     if config.synth is None:
@@ -261,7 +257,10 @@ def load_series(config: ExperimentConfig) -> PriceSeries:
 
 def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
     if config.data_path is not None:
-        tab = load_csv_tabular(config.data_path, config.label_column)
+        try:
+            tab = load_csv_tabular(config.data_path, config.label_column)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return tab, config.dataset_name or _dataset_stem(config.data_path)
     if config.synth is None:
         raise ConfigError("a data path or a synth spec is required")
@@ -375,29 +374,29 @@ def fit_forecaster(config: ExperimentConfig) -> Forecast:
                     r2_test=r2(test_preds, datasets[3].targets))
 
 
-def _regression_row(config: ExperimentConfig, name: str, seed: int,
+def _regression_row(config: ExperimentConfig, seed: int,
                     kind: ActivationKind, datasets,
-                    fixed_alpha: float | None,
-                    m_label: int | None) -> list:
+                    fixed_alpha: float | None) -> list:
     params, history, train_cfg, test_mse, test_preds = _fit_cell(
         config, kind, seed, datasets, "mse", fixed_alpha)
-    _, train_ds, _, test_ds = datasets
+    name, train_ds, _, test_ds = datasets
     _, train_preds = evaluate(params, kind, train_ds.inputs,
                               train_ds.targets, train_cfg,
                               RngStream(seed, _TRAIN_EVAL_STREAM))
+    m = kind.m if kind.name == "brownian" else None
     alpha = params.alpha if kind.has_alpha else None
-    return [name, seed, kind.display_name, m_label, alpha, test_mse,
+    return [name, seed, kind.display_name, m, alpha, test_mse,
             r2(train_preds, train_ds.targets),
             r2(test_preds, test_ds.targets),
             history.epoch_of_convergence]
 
 
-def _classification_row(config: ExperimentConfig, name: str, seed: int,
+def _classification_row(config: ExperimentConfig, seed: int,
                         kind: ActivationKind, datasets,
                         fixed_alpha: float | None) -> list:
     params, history, _, _, test_preds = _fit_cell(
         config, kind, seed, datasets, "bce", fixed_alpha)
-    _, _, _, test_ds = datasets
+    name, _, _, test_ds = datasets
     scores = confusion_metrics(test_preds, test_ds.targets)
     auc = roc_auc(test_preds, test_ds.targets)
     alpha = params.alpha if kind.has_alpha else None
@@ -405,23 +404,25 @@ def _classification_row(config: ExperimentConfig, name: str, seed: int,
             scores["precision"], scores["recall"], scores["f1"], auc]
 
 
-def _grouped_rows(config: ExperimentConfig, groups) -> list[list]:
-    """Run (label, cell_fn) groups over all seeds; add mean rows."""
+def _run_cells(config: ExperimentConfig, datasets, cells,
+               row_fn) -> list[list]:
+    """Train (label, kind, fixed_alpha) cells at every seed; add mean rows."""
     rows: list[list] = []
-    for label, cell_fn in groups:
-        group_rows = []
+    for label, kind, fixed_alpha in cells:
+        cell_rows = []
         for seed in config.seeds:
             try:
-                group_rows.append(cell_fn(seed))
+                cell_rows.append(
+                    row_fn(config, seed, kind, datasets, fixed_alpha))
             except ConfigError:
                 raise
             except Exception as exc:
                 raise RuntimeError(
                     f"cell ({label}, seed={seed}) failed: {exc}"
                 ) from exc
-        rows.extend(group_rows)
+        rows.extend(cell_rows)
         if len(config.seeds) > 1:
-            rows.append(_mean_row(group_rows))
+            rows.append(_mean_row(cell_rows))
     return rows
 
 
@@ -434,19 +435,12 @@ def run_sensitivity(config: ExperimentConfig) -> ExperimentReport:
     if not config.m_values:
         raise ConfigError("sensitivity requires a non-empty M list")
     datasets = _regression_datasets(config)
-    name = datasets[0]
     fixed = _fixed_alpha(config)
-    groups = []
-    for m in config.m_values:
-        kind = _kind_for(config, "brownian", m=m)
-
-        def cell(seed, kind=kind, m=m):
-            return _regression_row(config, name, seed, kind, datasets,
-                                   fixed, m)
-
-        groups.append((f"M={m}", cell))
+    cells = [(f"M={m}", _kind_for(config, "brownian", m=m), fixed)
+             for m in config.m_values]
     return ExperimentReport("regression", REGRESSION_HEADER,
-                            _grouped_rows(config, groups))
+                            _run_cells(config, datasets, cells,
+                                       _regression_row))
 
 
 def run_comparison(config: ExperimentConfig) -> ExperimentReport:
@@ -458,21 +452,12 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
     if not config.activations:
         raise ConfigError("comparison requires at least one activation")
     datasets = _regression_datasets(config)
-    name = datasets[0]
     fixed = _fixed_alpha(config)
-    groups = []
-    for act_name in config.activations:
-        kind = _kind_for(config, act_name)
-        m_label = kind.m if kind.name == "brownian" else None
-        alpha = fixed if kind.name == "brownian" else None
-
-        def cell(seed, kind=kind, m_label=m_label, alpha=alpha):
-            return _regression_row(config, name, seed, kind, datasets,
-                                   alpha, m_label)
-
-        groups.append((kind.display_name, cell))
+    kinds = [_kind_for(config, name) for name in config.activations]
+    cells = [(kind.display_name, kind, fixed) for kind in kinds]
     return ExperimentReport("regression", REGRESSION_HEADER,
-                            _grouped_rows(config, groups))
+                            _run_cells(config, datasets, cells,
+                                       _regression_row))
 
 
 def run_classification(config: ExperimentConfig) -> ExperimentReport:
@@ -486,25 +471,17 @@ def run_classification(config: ExperimentConfig) -> ExperimentReport:
     if not config.activations:
         raise ConfigError("classification requires at least one activation")
     datasets = _classification_datasets(config)
-    name = datasets[0]
-    groups = []
-    for act_name in config.activations:
-        kind = _kind_for(config, act_name)
+    cells = []
+    for name in config.activations:
+        kind = _kind_for(config, name)
         if kind.name == "brownian" and not isinstance(config.alphas, str):
-            for alpha in config.alphas:
-                def cell(seed, kind=kind, alpha=float(alpha)):
-                    return _classification_row(config, name, seed, kind,
-                                               datasets, alpha)
-
-                groups.append((f"{kind.display_name} alpha={alpha}", cell))
+            cells += [(f"{kind.display_name} alpha={alpha}", kind,
+                       float(alpha)) for alpha in config.alphas]
         else:
-            def cell(seed, kind=kind):
-                return _classification_row(config, name, seed, kind,
-                                           datasets, None)
-
-            groups.append((kind.display_name, cell))
+            cells.append((kind.display_name, kind, None))
     return ExperimentReport("classification", CLASSIFICATION_HEADER,
-                            _grouped_rows(config, groups))
+                            _run_cells(config, datasets, cells,
+                                       _classification_row))
 
 
 def emit_paths_figure(alphas, m_values, x_min: float, x_max: float,
@@ -530,7 +507,7 @@ def emit_paths_figure(alphas, m_values, x_min: float, x_max: float,
     grid = np.linspace(x_min, x_max, points)
     base = RngStream(seed, _PATHS_STREAM)
     curves = []
-    records = []
+    lines = ["alpha,M,x,f\n"]
     index = 0
     for alpha in alphas:
         for m in m_values:
@@ -538,16 +515,12 @@ def emit_paths_figure(alphas, m_values, x_min: float, x_max: float,
             y, _ = forward(kind, grid, alpha, rng=base.substream(index))
             index += 1
             curves.append((f"alpha={alpha:g}, M={m}", grid, y))
-            records.extend(
-                (alpha, m, float(x), float(v)) for x, v in zip(grid, y))
-    os.makedirs(out_dir, exist_ok=True)
+            lines.extend(f"{alpha!r},{m},{float(x)!r},{float(v)!r}\n"
+                         for x, v in zip(grid, y))
     csv_path = os.path.join(out_dir, "paths.csv")
     svg_path = os.path.join(out_dir, "paths.svg")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("alpha,M,x,f\n")
-        for alpha, m, x, v in records:
-            fh.write(f"{alpha!r},{m},{x!r},{v!r}\n")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(line_plot(curves, title="Stochastic activation sample paths",
-                           xlabel="x", ylabel="f(x)"))
+    write_text(csv_path, "".join(lines))
+    write_text(svg_path, line_plot(
+        curves, title="Stochastic activation sample paths", xlabel="x",
+        ylabel="f(x)"))
     return csv_path, svg_path

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import (ActivationCache, ActivationKind, backward_alpha,
                           backward_input, forward)
-from .numerics import RngStream
+from .numerics import RngStream, write_text
 
 # Row blocks of the stacked gate matrices: the three sigmoid gates,
 # then the candidate.
@@ -332,40 +331,45 @@ def save_checkpoint(path: str, params: LstmParams,
         "alpha": params.alpha,
         "arrays": arrays,
     }
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _section(doc: dict, key: str) -> dict:
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"checkpoint section '{key}' is not a JSON object")
+    return section
 
 
 def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
     """Read a checkpoint written by save_checkpoint.
 
-    Every array is checked against the stored dims; a missing key or a
-    wrong shape raises ValueError naming the key.
+    Every array is checked against the stored dims; a missing key, a
+    section that is not a JSON object, or a wrong shape raises
+    ValueError naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} does not hold a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint format_version {version!r}"
         )
     try:
-        act = doc["activation"]
+        act = _section(doc, "activation")
         kind = ActivationKind(act["name"], slope=act["slope"], m=act["m"],
                               epsilon=act["epsilon"],
                               sampling=act["sampling"],
                               input_grad=act["input_grad"])
-        dims = doc["dims"]
+        dims = _section(doc, "dims")
         d, n, out = dims["input"], dims["hidden"], dims["output"]
         shapes = {f"{name}_{gate}": (n, cols) for gate in _FILE_GATES
                   for name, cols in (("w", d), ("u", n), ("b", 1))}
         shapes.update(w_y=(out, n), b_y=(out, 1))
         alpha = float(doc["alpha"])
-        stored = doc["arrays"]
+        stored = _section(doc, "arrays")
         arrays = {}
         for key, shape in shapes.items():
             try:

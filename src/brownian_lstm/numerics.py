@@ -1,4 +1,4 @@
-"""Matrix conventions and deterministic random streams.
+"""Matrix conventions, deterministic random streams, and the file writer.
 
 Every tensor in this library is a 2-D, C-order, float64 numpy array;
 column vectors have shape (n, 1).
@@ -9,11 +9,15 @@ Box-Muller transform applied to the stream's uniforms, with the spare
 half of each pair cached, so the mapping from draw index to value does
 not depend on how draws are chunked into calls.  Replaying a stream
 from the same key reproduces the identical sequence bit for bit.
+
+Every output file (reports, histories, checkpoints, figures) is written
+through write_text, so a failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -107,3 +111,22 @@ class RngStream:
             size *= int(dim)
         flat = self.standard_normals(size)
         return (mean + std * flat).reshape(shape)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path atomically, creating the parent directory.
+
+    The text goes to path + '.tmp', which is then renamed onto path.  On
+    any error the temp file is removed and the error re-raised, so path
+    keeps its old bytes (or stays absent).
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -24,7 +24,6 @@ parameters are the snapshot from that epoch.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .activations import ActivationKind
 from .lstm import PARAM_KEYS, LstmParams, backward_bptt, sequence_forward
 from .metrics import r2
-from .numerics import RngStream
+from .numerics import RngStream, write_text
 
 _NOISE_STREAM = 11
 _EVAL_STREAM = 23
@@ -108,15 +107,11 @@ class TrainHistory:
         return len(self.train_loss)
 
     def to_csv(self, path: str) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,train_loss,val_loss,metric,alpha\n")
-            for e in range(self.executed_epochs):
-                fh.write(f"{e + 1},{self.train_loss[e]!r},"
-                         f"{self.val_loss[e]!r},{self.metric[e]!r},"
-                         f"{self.alpha[e]!r}\n")
+        lines = [f"{e + 1},{self.train_loss[e]!r},{self.val_loss[e]!r},"
+                 f"{self.metric[e]!r},{self.alpha[e]!r}\n"
+                 for e in range(self.executed_epochs)]
+        write_text(path, "epoch,train_loss,val_loss,metric,alpha\n"
+                   + "".join(lines))
 
 
 def mse_loss(pred, target):

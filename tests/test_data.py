@@ -76,6 +76,16 @@ class TestLoadCsvPrices:
         with pytest.raises(ValueError, match="row 2.*not a number"):
             load_csv_prices(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("Date,Open,Close\n2020-01-01,1.0,2.0\n2020-01-02,3.0\n",
+         "row 3: expected 3 cells, got 2"),
+        ("Date,Close\n2020-01-01,1.0,9.0\n", "row 2: expected 2 cells, got 3"),
+    ])
+    def test_cell_count_mismatch_cites_row(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=message):
+            load_csv_prices(path)
+
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ValueError, match="empty"):

@@ -141,6 +141,36 @@ class TestReportFormat:
         assert os.path.exists(csv_path) and csv_path.endswith("out.csv")
         assert os.path.exists(json_path) and json_path.endswith("out.json")
 
+    def test_failed_write_keeps_old_files(self, tmp_path):
+        ExperimentReport(kind="regression", header=("A",),
+                         rows=[[1.0], [2.0]]).write(str(tmp_path), "r")
+        names = ("r.csv", "r.json")
+        before = [(tmp_path / name).read_bytes() for name in names]
+        bad = ExperimentReport(kind="regression", header=("A",),
+                               rows=[[3.0], [object()]])
+        with pytest.raises(TypeError):
+            bad.to_csv(str(tmp_path / "r.csv"))
+        with pytest.raises(TypeError):
+            bad.to_json(str(tmp_path / "r.json"))
+        assert [(tmp_path / name).read_bytes() for name in names] == before
+        assert sorted(os.listdir(tmp_path)) == list(names)
+
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        ExperimentReport(kind="regression", header=("A",),
+                         rows=[[1.0]]).to_csv(str(path))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            ExperimentReport(kind="regression", header=("A",),
+                             rows=[[2.0]]).to_csv(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.csv"]
+
     def test_column_accessor(self):
         report = ExperimentReport(kind="x", header=("A", "B"),
                                   rows=[[1, 2], [3, 4]])
@@ -231,6 +261,26 @@ class TestRunClassification:
             run_classification(config)
 
 
+class TestCellFailure:
+    @pytest.mark.parametrize("runner,config,label", [
+        (run_sensitivity, _fast_regression_config, "M=5"),
+        (run_comparison, _fast_regression_config, "BrownianReLU"),
+        (run_classification,
+         lambda path: _fast_classification_config(path, alphas=(0.1, 0.9)),
+         "BrownianReLU alpha=0.1"),
+    ])
+    def test_failure_names_cell_and_seed(self, tmp_path, monkeypatch,
+                                         runner, config, label):
+        def failing_train(*args, **kwargs):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(brownian_lstm.experiments, "train",
+                            failing_train)
+        with pytest.raises(RuntimeError) as info:
+            runner(config(tmp_path))
+        assert str(info.value) == f"cell ({label}, seed=1) failed: overflow"
+
+
 class TestPathsFigure:
     def test_files_and_alpha_zero_matches_relu(self, tmp_path):
         csv_path, svg_path = emit_paths_figure(
@@ -313,6 +363,13 @@ class TestCli:
         proc = _run_cli(["describe", "--data", "missing.csv"], str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_malformed_csv_row_exits_2(self, tmp_path):
+        (tmp_path / "p.csv").write_text(
+            "Date,Open,Close\n2020-01-01,1.0,2.0\n2020-01-02,3.0\n")
+        proc = _run_cli(["describe", "--data", "p.csv"], str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: p.csv row 3: expected 3 cells, got 2\n"
 
     def test_bad_synth_exits_2(self, tmp_path):
         proc = _run_cli(["describe", "--synth", "nope:1"], str(tmp_path))

@@ -344,6 +344,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("section,message", [
+        (None, r"does not hold a JSON object"),
+        ("activation", r"section 'activation' is not a JSON object"),
+        ("dims", r"section 'dims' is not a JSON object"),
+        ("arrays", r"section 'arrays' is not a JSON object"),
+    ])
+    def test_non_object_document_rejected(self, tmp_path, section, message):
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
+                        ActivationKind.relu())
+        doc = json.loads(path.read_text())
+        if section is None:
+            doc = [doc]
+        else:
+            doc[section] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
 
 def _mse(pred, target):
     from brownian_lstm.training import mse_loss

@@ -1,4 +1,4 @@
-"""Package boundaries: public exports and private names."""
+"""Package boundaries: public exports, private names, and file writes."""
 
 import ast
 import pathlib
@@ -31,3 +31,31 @@ def test_every_exported_name_resolves():
     missing = [name for name in brownian_lstm.__all__
                if not hasattr(brownian_lstm, name)]
     assert missing == []
+
+
+def _file_writes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exempt = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "write_text" and path.name == "numerics.py"
+              for inner in ast.walk(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "makedirs":
+            yield f"{path.name}:{node.lineno} calls os.makedirs"
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords
+                                      if kw.arg == "mode"]
+            # A mode the walk cannot read counts as a write.
+            if any(not isinstance(mode, ast.Constant)
+                   or not set(str(mode.value)) <= set("rbt")
+                   for mode in modes):
+                yield f"{path.name}:{node.lineno} opens for writing"
+
+
+def test_only_write_text_writes_files():
+    found = [hit for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for hit in _file_writes(path)]
+    assert found == []
