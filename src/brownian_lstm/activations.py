@@ -160,10 +160,9 @@ class ActivationCache:
     alpha: float
 
 
-def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
-               frozen_zbar: np.ndarray | None,
+def _draw_zbar(kind: ActivationKind, x: np.ndarray, neg: np.ndarray,
+               rng: RngStream | None, frozen_zbar: np.ndarray | None,
                noise_mode: str) -> np.ndarray:
-    neg = x <= 0.0
     if frozen_zbar is not None:
         frozen_zbar = np.asarray(frozen_zbar, dtype=np.float64)
         if frozen_zbar.shape != x.shape:
@@ -173,11 +172,11 @@ def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
             )
         return np.where(neg, frozen_zbar, 0.0)
     if noise_mode == "mean":
-        return np.zeros_like(x)
+        return np.zeros(x.shape)
     if rng is None:
         raise ValueError("brownian activation requires an RngStream")
-    zbar = np.zeros_like(x)
-    count = int(neg.sum())
+    zbar = np.zeros(x.shape)
+    count = np.count_nonzero(neg)
     if count:
         if kind.sampling == "collapsed":
             z = rng.standard_normals(count) / math.sqrt(kind.m)
@@ -226,16 +225,17 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     elif kind.name == "gelu":
         y = x * _phi(x)
     else:
-        zbar = _draw_zbar(kind, x, rng, frozen_zbar, noise_mode)
+        neg = x <= 0.0  # the complement of x > 0, since x is finite
+        zbar = _draw_zbar(kind, x, neg, rng, frozen_zbar, noise_mode)
         b = np.sqrt(np.abs(x)) * zbar
         # + 0.0 normalizes -0.0 so alpha = 0 reproduces ReLU bitwise.
-        y = np.where(x > 0.0, x, -(alpha * b) + 0.0)
+        y = np.where(neg, -(alpha * b) + 0.0, x)
     return y, ActivationCache(kind=kind, inputs=x, zbar=zbar, alpha=alpha)
 
 
 def _check_cache(kind: ActivationKind, cache: ActivationCache,
                  upstream: np.ndarray) -> np.ndarray:
-    if cache.kind != kind:
+    if cache.kind is not kind and cache.kind != kind:
         raise ValueError(
             f"cache was built for '{cache.kind.name}', not '{kind.name}'"
         )
