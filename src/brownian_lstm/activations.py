@@ -160,9 +160,10 @@ class ActivationCache:
     alpha: float
 
 
-def _draw_zbar(kind: ActivationKind, x: np.ndarray, neg: np.ndarray,
-               rng: RngStream | None, frozen_zbar: np.ndarray | None,
+def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
+               frozen_zbar: np.ndarray | None,
                noise_mode: str) -> np.ndarray:
+    neg = x <= 0.0
     if frozen_zbar is not None:
         frozen_zbar = np.asarray(frozen_zbar, dtype=np.float64)
         if frozen_zbar.shape != x.shape:
@@ -172,11 +173,11 @@ def _draw_zbar(kind: ActivationKind, x: np.ndarray, neg: np.ndarray,
             )
         return np.where(neg, frozen_zbar, 0.0)
     if noise_mode == "mean":
-        return np.zeros(x.shape)
+        return np.zeros_like(x)
     if rng is None:
         raise ValueError("brownian activation requires an RngStream")
-    zbar = np.zeros(x.shape)
-    count = np.count_nonzero(neg)
+    zbar = np.zeros_like(x)
+    count = int(neg.sum())
     if count:
         if kind.sampling == "collapsed":
             z = rng.standard_normals(count) / math.sqrt(kind.m)
@@ -225,17 +226,16 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     elif kind.name == "gelu":
         y = x * _phi(x)
     else:
-        neg = x <= 0.0  # the complement of x > 0, since x is finite
-        zbar = _draw_zbar(kind, x, neg, rng, frozen_zbar, noise_mode)
+        zbar = _draw_zbar(kind, x, rng, frozen_zbar, noise_mode)
         b = np.sqrt(np.abs(x)) * zbar
         # + 0.0 normalizes -0.0 so alpha = 0 reproduces ReLU bitwise.
-        y = np.where(neg, -(alpha * b) + 0.0, x)
+        y = np.where(x > 0.0, x, -(alpha * b) + 0.0)
     return y, ActivationCache(kind=kind, inputs=x, zbar=zbar, alpha=alpha)
 
 
 def _check_cache(kind: ActivationKind, cache: ActivationCache,
                  upstream: np.ndarray) -> np.ndarray:
-    if cache.kind is not kind and cache.kind != kind:
+    if cache.kind != kind:
         raise ValueError(
             f"cache was built for '{cache.kind.name}', not '{kind.name}'"
         )

@@ -266,37 +266,36 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
     else:
         dlogit = d_pred
     h_last = trace.steps[-1].h
-    n = params.hidden_dim
     dh = params.w_y.T @ dlogit
-    dc = np.zeros(h_last.shape)
-    dw = np.zeros(params.w.shape)
-    du = np.zeros(params.u.shape)
-    db = np.zeros(params.b.shape)
+    dc = np.zeros_like(h_last)
+    dw = np.zeros_like(params.w)
+    du = np.zeros_like(params.u)
+    db = np.zeros_like(params.b)
     dalpha = 0.0
-    # dL/dz of one step in GATE_ORDER row blocks, rewritten every step.
-    dz = np.empty((4 * n, h_last.shape[1]))
-    dz_f, dz_i, dz_o, dz_c = (dz[_rows(gate, n)] for gate in GATE_ORDER)
 
     for step in reversed(trace.steps):
-        np.multiply(dh, step.a, out=dz_o)
+        do = dh * step.a
         da = dh * step.o
-        dc += backward_input(kind, step.cell_cache, da)
+        dc = dc + backward_input(kind, step.cell_cache, da)
         if kind.has_alpha:
             dalpha += backward_alpha(kind, step.cell_cache, da)
-        np.multiply(dc, step.c_prev, out=dz_f)
-        np.multiply(dc, step.c_tilde, out=dz_i)
+        df = dc * step.c_prev
+        di = dc * step.c_tilde
         dct = dc * step.i
-        dz_c[...] = backward_input(kind, step.cand_cache, dct)
+        dzc = backward_input(kind, step.cand_cache, dct)
         if kind.has_alpha:
             dalpha += backward_alpha(kind, step.cand_cache, dct)
-        for block, gate in ((dz_f, step.f), (dz_i, step.i), (dz_o, step.o)):
-            block *= gate
-            block *= 1.0 - gate
+        dz = np.concatenate([
+            df * step.f * (1.0 - step.f),
+            di * step.i * (1.0 - step.i),
+            do * step.o * (1.0 - step.o),
+            dzc,
+        ])
         dw += dz @ step.x.T
         du += dz @ step.h_prev.T
         db += dz.sum(axis=1, keepdims=True)
         dh = params.u.T @ dz
-        dc *= step.f
+        dc = dc * step.f
 
     return {"w": dw, "u": du, "b": db, "w_y": dlogit @ h_last.T,
             "b_y": dlogit.sum(axis=1, keepdims=True), "alpha": dalpha}

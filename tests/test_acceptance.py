@@ -6,10 +6,8 @@ signal.  Budgets are asserted with wall-clock checks.
 """
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,37 +304,22 @@ def test_09_classification_harness(classification):
                  f"[0, 1] ({elapsed:.0f}s)")
 
 
-def _rerun_blob(job):
-    builder, out_dir, name = job
-    return _run_and_capture(builder, out_dir, name)[1]
-
-
 def test_10_reports_are_byte_identical(outdirs, brownian_five,
                                        comparison_six, sensitivity,
-                                       classification, monkeypatch):
+                                       classification):
     reruns = (
         ("b5", _brownian_five_seeds, brownian_five, "comparison"),
         ("c6", _comparison_all_six, comparison_six, "comparison"),
         ("sens", _sensitivity_run, sensitivity, "sensitivity"),
         ("cls", _classification_run, classification, "classification"),
     )
-    jobs = [(builder, outdirs / f"{tag}-rerun", name)
-            for tag, builder, _, name in reruns]
-    # The reruns are independent, so they run side by side in fresh
-    # processes, one BLAS thread each so the workers do not contend.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    workers = min(len(jobs), os.cpu_count() or 1)
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        blobs = list(pool.map(_rerun_blob, jobs))
-    for (tag, _, first, _), blob in zip(reruns, blobs):
+    for tag, builder, first, name in reruns:
+        _, blob, _ = _run_and_capture(builder, outdirs / f"{tag}-rerun",
+                                      name)
         assert blob == first[1], f"{tag} report changed across reruns"
     _announce(10, "repeating the regression, sensitivity, and "
-                  "classification harnesses with identical seeds in "
-                  "fresh processes reproduces the report files byte for "
-                  "byte")
+                  "classification harnesses with identical seeds "
+                  "reproduces the report files byte for byte")
 
 
 def test_11_describe_matches_two_pass_oracle():
