@@ -141,8 +141,8 @@ def load_csv_prices(path: str, column: str = "Close") -> PriceSeries:
     """Read a dated price CSV.
 
     Requires a Date column of ISO-8601 dates in strictly increasing
-    order and the named value column.  Errors cite the offending row
-    number (the header is row 1).
+    order and the named value column holding positive finite prices.
+    Errors cite the offending row number (the header is row 1).
     """
     header, rows = _read_table(path, ("Date", column))
     date_idx = header.index("Date")
@@ -171,6 +171,11 @@ def load_csv_prices(path: str, column: str = "Close") -> PriceSeries:
             raise ValueError(
                 f"{path} row {row_no}: '{raw_value}' is not a number"
             ) from None
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(
+                f"{path} row {row_no}: price {raw_value} is not positive "
+                f"and finite"
+            )
         dates.append(raw_date)
         values.append(value)
     if not values:

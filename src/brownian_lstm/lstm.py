@@ -12,11 +12,13 @@ replace tanh everywhere it appears):
     h_t = o_t * act(C_t)
 
 The head is pred = W_y h_T + b_y, optionally through a sigmoid for
-binary classification.  backward_bptt runs full backpropagation through
-time on a recorded trace, differentiating the sampled function exactly:
-stochastic activations are differentiated at the noise stored in their
-forward caches, and dL/dalpha accumulates through backward_alpha at
-both activation sites of every timestep.
+binary classification.  sequence_forward records one StepTrace per
+timestep unless called with record=False, which keeps only the running
+state (forward-only scoring).  backward_bptt runs full backpropagation
+through time on a recorded trace, differentiating the sampled function
+exactly: stochastic activations are differentiated at the noise stored
+in their forward caches, and dL/dalpha accumulates through
+backward_alpha at both activation sites of every timestep.
 
 Shapes follow the column convention: x_t is (d, B), h_t and C_t are
 (n, B), predictions are (out, B).  B is the number of sequences pushed
@@ -186,7 +188,8 @@ def _step(params: LstmParams, n: int, kind: ActivationKind,
 
 def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
                      rng: RngStream | None = None, head: str = "linear",
-                     noise: list | None = None, noise_mode: str = "sample"):
+                     noise: list | None = None, noise_mode: str = "sample",
+                     record: bool = True):
     """Run a full sequence from zero initial state through the head.
 
     Arguments:
@@ -194,9 +197,14 @@ def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
         head    'linear' for regression, 'sigmoid' for classification
         noise   optional per-step noise plan from ForwardTrace.noise_plan,
                 replayed instead of drawing (frozen-noise evaluation)
+        record  keep every step in trace.steps for backward_bptt; False
+                drops each step once the next one has its state, so a
+                forward-only pass holds one step at a time
 
     Returns:
-        (prediction, trace) with prediction of shape (out, B).
+        (prediction, trace) with prediction of shape (out, B).  Without
+        record, trace.steps is empty and backward_bptt rejects the trace;
+        the arithmetic and the noise draws are the same either way.
     """
     if head not in ("linear", "sigmoid"):
         raise ValueError(f"unknown head '{head}'")
@@ -228,7 +236,8 @@ def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
         frozen = noise[t] if noise is not None else None
         step = _step(params, n, kind, inputs[t], h, c, rng, frozen,
                      noise_mode)
-        trace.steps.append(step)
+        if record:
+            trace.steps.append(step)
         h, c = step.h, step.c
     logit = params.w_y @ h + params.b_y
     prediction = _sigmoid(logit) if head == "sigmoid" else logit
@@ -341,12 +350,30 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
+_NUMBER = (int, float)
+# JSON type of each activation field, in ActivationKind's order.
+_ACTIVATION_FIELDS = {"name": (str,), "slope": _NUMBER, "m": (int,),
+                      "epsilon": _NUMBER, "sampling": (str,),
+                      "input_grad": (str,)}
+
+
+def _typed(section: dict, key: str, types: tuple, label: str):
+    """section[key] if it has one of types (a bool is not a number)."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise ValueError(
+            f"checkpoint field '{label}' holds {value!r}, expected {expected}"
+        )
+    return value
+
+
 def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
     """Read a checkpoint written by save_checkpoint.
 
-    Every array is checked against the stored dims; a missing key, a
-    section that is not a JSON object, or a wrong shape raises
-    ValueError naming the key.
+    Every field is checked for its JSON type and every array against the
+    stored dims; a missing key, a section that is not a JSON object, a
+    wrongly typed field or a wrong shape raises ValueError naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -359,16 +386,16 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
         )
     try:
         act = _section(doc, "activation")
-        kind = ActivationKind(act["name"], slope=act["slope"], m=act["m"],
-                              epsilon=act["epsilon"],
-                              sampling=act["sampling"],
-                              input_grad=act["input_grad"])
+        kind = ActivationKind(**{
+            key: _typed(act, key, types, f"activation.{key}")
+            for key, types in _ACTIVATION_FIELDS.items()})
         dims = _section(doc, "dims")
-        d, n, out = dims["input"], dims["hidden"], dims["output"]
+        d, n, out = (_typed(dims, key, (int,), f"dims.{key}")
+                     for key in ("input", "hidden", "output"))
         shapes = {f"{name}_{gate}": (n, cols) for gate in _FILE_GATES
                   for name, cols in (("w", d), ("u", n), ("b", 1))}
         shapes.update(w_y=(out, n), b_y=(out, 1))
-        alpha = float(doc["alpha"])
+        alpha = float(_typed(doc, "alpha", _NUMBER, "alpha"))
         stored = _section(doc, "arrays")
         arrays = {}
         for key, shape in shapes.items():

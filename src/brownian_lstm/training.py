@@ -234,8 +234,10 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
              rng: RngStream | None):
     """Loss and predictions over a dataset, in EVAL_BATCH chunks.
 
-    Applies config.eval_noise; returns (loss, predictions) with
-    predictions as a 1-D array aligned with targets.
+    Forward-only: no per-step trace is recorded, so memory stays at one
+    timestep's arrays per chunk.  Applies config.eval_noise; returns
+    (loss, predictions) with predictions as a 1-D array aligned with
+    targets.
     """
     n_samples = inputs.shape[0]
     if n_samples == 0:
@@ -246,7 +248,7 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
         idx = np.arange(start, min(start + EVAL_BATCH, n_samples))
         pred, _ = sequence_forward(params, _batch_tensor(inputs, idx), kind,
                                    rng=rng, head=config.head,
-                                   noise_mode=noise_mode)
+                                   noise_mode=noise_mode, record=False)
         preds[idx] = pred[0]
     loss_fn = bce_loss if config.loss == "bce" else mse_loss
     loss, _ = loss_fn(preds, targets)

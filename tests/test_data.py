@@ -101,6 +101,14 @@ class TestLoadCsvPrices:
         with pytest.raises(ValueError, match="positive"):
             load_csv_prices(path)
 
+    @pytest.mark.parametrize("value", ["-3", "0", "nan", "inf"])
+    def test_bad_price_cites_row(self, tmp_path, value):
+        path = _write(tmp_path,
+                      f"Date,Close\n2020-01-01,2.0\n2020-01-02,{value}\n")
+        with pytest.raises(ValueError, match=(
+                rf"row 3: price {value} is not positive and finite")):
+            load_csv_prices(path)
+
 
 class TestNormalize:
     def test_unit_range(self):

@@ -371,6 +371,13 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: p.csv row 3: expected 3 cells, got 2\n"
 
+    def test_nonpositive_price_exits_2_citing_row(self, tmp_path):
+        (tmp_path / "p.csv").write_text("Date,Close\n2020-01-01,-3\n")
+        proc = _run_cli(["describe", "--data", "p.csv"], str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: p.csv row 2: price -3 is not positive and finite\n")
+
     def test_bad_synth_exits_2(self, tmp_path):
         proc = _run_cli(["describe", "--synth", "nope:1"], str(tmp_path))
         assert proc.returncode == 2

@@ -182,6 +182,30 @@ class TestSequenceForward:
         replay, _ = sequence_forward(p, x, kind, noise=trace.noise_plan())
         assert pred.tobytes() == replay.tobytes()
 
+    @pytest.mark.parametrize("kind,noise_mode,head", [
+        (ActivationKind.brownian(m=1000), "sample", "linear"),
+        (ActivationKind.brownian(m=1000), "mean", "linear"),
+        (ActivationKind.relu(), "sample", "linear"),
+        (ActivationKind.brownian(m=1000), "sample", "sigmoid"),
+    ])
+    def test_unrecorded_forward_matches_recorded(self, kind, noise_mode,
+                                                 head):
+        # 300 columns: the width evaluate splits into 256 + 44.
+        p = init_params(2, 5, 1, seed=16, alpha=0.4)
+        x = RngStream(17).normals((6, 2, 300))
+        rng_rec, rng_free = RngStream(18, 3), RngStream(18, 3)
+        rec, rec_trace = sequence_forward(p, x, kind, rng=rng_rec, head=head,
+                                          noise_mode=noise_mode)
+        free, trace = sequence_forward(p, x, kind, rng=rng_free, head=head,
+                                       noise_mode=noise_mode, record=False)
+        assert free.tobytes() == rec.tobytes()
+        assert len(rec_trace.steps) == 6
+        assert trace.steps == [] and trace.prediction is free
+        assert (rng_free.standard_normals(5).tobytes()
+                == rng_rec.standard_normals(5).tobytes())
+        with pytest.raises(ValueError, match="completed forward pass"):
+            backward_bptt(p, trace, np.ones_like(free))
+
 
 class TestBackwardBptt:
     def test_zero_upstream_gives_zero_grads(self):
@@ -340,6 +364,31 @@ class TestCheckpoint:
             del doc["arrays"][key]
         else:
             doc["arrays"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("activation", "m", "5",
+         r"field 'activation.m' holds '5', expected int"),
+        ("activation", "m", 5.0,
+         r"field 'activation.m' holds 5.0, expected int"),
+        ("activation", "slope", None,
+         r"field 'activation.slope' holds None, expected int or float"),
+        ("activation", "name", ["relu"],
+         r"field 'activation.name' holds \['relu'\], expected str"),
+        ("dims", "hidden", "4", r"field 'dims.hidden' holds '4'"),
+        (None, "alpha", "x",
+         r"field 'alpha' holds 'x', expected int or float"),
+        (None, "alpha", True, r"field 'alpha' holds True"),
+    ])
+    def test_wrongly_typed_fields_rejected(self, tmp_path, section, key,
+                                           value, message):
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
+                        ActivationKind.relu())
+        doc = json.loads(path.read_text())
+        (doc if section is None else doc[section])[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_checkpoint(str(path))

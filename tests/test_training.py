@@ -1,5 +1,7 @@
 """Losses, optimizer steps, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,46 @@ class TestEvaluate:
         np.testing.assert_allclose(preds, direct[0], rtol=1e-12)
         want, _ = mse_loss(direct[0], targets)
         assert loss == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("eval_noise", ["stochastic", "mean"])
+    def test_brownian_matches_recorded_forward_bitwise(self, eval_noise):
+        # 300 windows: evaluate scores them in chunks of 256 and 44.
+        inputs, targets = _toy_regression(n=300)
+        p = init_params(1, 3, 1, seed=2)
+        kind = ActivationKind.brownian(m=1000)
+        config = TrainConfig(eval_noise=eval_noise)
+        noise_mode = "sample" if eval_noise == "stochastic" else "mean"
+        rng_eval, rng_direct = RngStream(5, 23), RngStream(5, 23)
+        loss, preds = evaluate(p, kind, inputs, targets, config, rng_eval)
+        chunks = []
+        for start in (0, 256):
+            x = np.ascontiguousarray(
+                inputs[start:start + 256].transpose(1, 2, 0))
+            pred, trace = sequence_forward(p, x, kind, rng=rng_direct,
+                                           noise_mode=noise_mode)
+            assert len(trace.steps) == inputs.shape[1]
+            chunks.append(pred[0])
+        direct = np.concatenate(chunks)
+        assert preds.tobytes() == direct.tobytes()
+        assert loss == mse_loss(direct, targets)[0]
+        assert (rng_eval.standard_normals(5).tobytes()
+                == rng_direct.standard_normals(5).tobytes())
+
+    def test_scoring_memory_stays_bounded(self):
+        # One 256-window call at the paper's shape (T = 60, d = 1, n = 50,
+        # M = 1000).  A recorded trace of it holds about 77 MB; without
+        # one only a step's arrays are live at a time.
+        inputs = RngStream(3).uniforms(256 * 60).reshape(256, 60, 1)
+        p = init_params(1, 50, 1, seed=4)
+        kind = ActivationKind.brownian(m=1000)
+        tracemalloc.start()
+        try:
+            evaluate(p, kind, inputs, np.zeros(256), TrainConfig(),
+                     RngStream(5, 23))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_mean_noise_mode_is_deterministic(self):
         inputs, targets = _toy_regression(n=12)
