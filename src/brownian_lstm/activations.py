@@ -51,6 +51,10 @@ _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class NonFiniteInput(ValueError):
+    """forward() was given NaN or an infinity."""
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     # Standard normal CDF.
     return 0.5 * (1.0 + erf(x * _SQRT1_2))
@@ -209,7 +213,7 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise ValueError("activation input contains non-finite entries")
+        raise NonFiniteInput("activation input contains non-finite entries")
     alpha = float(alpha)
     if noise_mode not in ("sample", "mean"):
         raise ValueError(f"unknown noise_mode '{noise_mode}'")
@@ -291,8 +295,6 @@ def backward_alpha(kind: ActivationKind, cache: ActivationCache,
         raise ValueError(f"activation '{kind.name}' has no alpha parameter")
     upstream = _check_cache(kind, cache, upstream)
     x = cache.inputs
-    neg = x <= 0.0
-    if kind.name == "prelu":
-        return float(np.sum(upstream * x, where=neg))
-    b = np.sqrt(np.abs(x)) * cache.zbar
-    return float(-np.sum(upstream * b, where=neg))
+    dy = x if kind.name == "prelu" else -np.sqrt(np.abs(x)) * cache.zbar
+    # The mask stays: a cache need not hold zbar = 0 where x > 0.
+    return float(np.sum(np.where(x <= 0.0, upstream * dy, 0.0)))

@@ -25,8 +25,9 @@ Shapes follow the column convention: x_t is (d, B), h_t and C_t are
 through together and is 1 for single-sequence use.  LstmParams stores
 the four gate blocks stacked as W (4n, d), U (4n, n) and b (4n, 1), rows
 in GATE_ORDER = [f; i; o; c], so each timestep costs two matrix
-products.  Checkpoint files (format_version 1) keep one array per gate
-and matrix (w_f, u_f, b_f, ..., w_y, b_y); save_checkpoint splits the
+products; alpha is a (1, 1) array, so PARAM_KEYS names every learnable
+array.  Checkpoint files (format_version 1) keep one array per gate and
+matrix (w_f, u_f, b_f, ..., w_y, b_y); save_checkpoint splits the
 row blocks and load_checkpoint joins them.
 """
 
@@ -45,7 +46,7 @@ from .numerics import RngStream, write_text
 # Row blocks of the stacked gate matrices: the three sigmoid gates,
 # then the candidate.
 GATE_ORDER = ("f", "i", "o", "c")
-PARAM_KEYS = ("w", "u", "b", "w_y", "b_y")
+PARAM_KEYS = ("w", "u", "b", "w_y", "b_y", "alpha")
 # Per-gate order of the init draws and of the checkpoint file's arrays.
 _FILE_GATES = ("f", "i", "c", "o")
 _INIT_STREAM = 101
@@ -70,7 +71,8 @@ class LstmParams:
     """All learnable state: stacked gate weights, head weights, and alpha.
 
     w (4n, d), u (4n, n) and b (4n, 1) hold the gates in GATE_ORDER row
-    blocks; w_y (out, n) and b_y (out, 1) are the dense head.
+    blocks; w_y (out, n) and b_y (out, 1) are the dense head; alpha_array
+    (1, 1) holds alpha, which params.alpha reads as a float.
     """
 
     w: np.ndarray
@@ -78,7 +80,11 @@ class LstmParams:
     b: np.ndarray
     w_y: np.ndarray
     b_y: np.ndarray
-    alpha: float = 0.25
+    alpha_array: np.ndarray
+
+    @property
+    def alpha(self) -> float:
+        return float(self.alpha_array[0, 0])
 
     @property
     def input_dim(self) -> int:
@@ -93,12 +99,12 @@ class LstmParams:
         return self.w_y.shape[0]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Array-valued parameters in fixed PARAM_KEYS order."""
-        return {key: getattr(self, key) for key in PARAM_KEYS}
+        """Every parameter array, keyed in fixed PARAM_KEYS order."""
+        return dict(zip(PARAM_KEYS, (self.w, self.u, self.b, self.w_y,
+                                     self.b_y, self.alpha_array)))
 
     def copy(self) -> "LstmParams":
-        kw = {key: getattr(self, key).copy() for key in PARAM_KEYS}
-        return LstmParams(alpha=self.alpha, **kw)
+        return LstmParams(*(arr.copy() for arr in self.arrays().values()))
 
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
@@ -129,8 +135,8 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
         u[_rows(gate, n)] = xavier(n, n, n, n)
     b[_rows("f", n)] = 1.0
     w_y = xavier(out, n, n, out)
-    return LstmParams(w=w, u=u, b=b, w_y=w_y, b_y=np.zeros((out, 1)),
-                      alpha=float(alpha))
+    return LstmParams(w, u, b, w_y, np.zeros((out, 1)),
+                      np.full((1, 1), float(alpha)))
 
 
 @dataclass
@@ -253,7 +259,7 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
         d_pred  dL/dprediction, shape (out, B), matching trace.prediction
 
     Returns:
-        dict with one entry per PARAM_KEYS name plus 'alpha'.  For a
+        dict with one array per PARAM_KEYS name, alpha's (1, 1).  For a
         sigmoid head d_pred is taken with respect to the probability and
         chained through the sigmoid here.  Stochastic activations are
         differentiated at their cached noise, so these gradients match
@@ -280,7 +286,7 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
     dw = np.zeros_like(params.w)
     du = np.zeros_like(params.u)
     db = np.zeros_like(params.b)
-    dalpha = 0.0
+    dalpha = np.zeros((1, 1))
 
     for step in reversed(trace.steps):
         do = dh * step.a
@@ -358,9 +364,10 @@ _ACTIVATION_FIELDS = {"name": (str,), "slope": _NUMBER, "m": (int,),
 
 
 def _typed(section: dict, key: str, types: tuple, label: str):
-    """section[key] if it has one of types (a bool is not a number)."""
+    """section[key] if it has one of types (a bool, NaN or inf is not)."""
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (isinstance(value, float) and not math.isfinite(value))):
         expected = " or ".join(t.__name__ for t in types)
         raise ValueError(
             f"checkpoint field '{label}' holds {value!r}, expected {expected}"
@@ -373,7 +380,8 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
 
     Every field is checked for its JSON type and every array against the
     stored dims; a missing key, a section that is not a JSON object, a
-    wrongly typed field or a wrong shape raises ValueError naming the key.
+    wrongly typed field, a wrong shape or a non-finite number raises
+    ValueError naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -410,6 +418,8 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
                     f"checkpoint array '{key}' has shape {arr.shape}, "
                     f"expected {shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint array '{key}' is not finite")
             arrays[key] = arr
     except KeyError as exc:
         raise ValueError(f"checkpoint is missing key {exc}") from None
@@ -418,6 +428,6 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
         return np.concatenate([arrays[f"{name}_{gate}"]
                                for gate in GATE_ORDER])
 
-    params = LstmParams(w=join("w"), u=join("u"), b=join("b"),
-                        w_y=arrays["w_y"], b_y=arrays["b_y"], alpha=alpha)
+    params = LstmParams(join("w"), join("u"), join("b"), arrays["w_y"],
+                        arrays["b_y"], np.full((1, 1), alpha))
     return params, kind

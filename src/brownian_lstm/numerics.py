@@ -56,12 +56,6 @@ class RngStream:
         child = _splitmix64(self.stream_id ^ _splitmix64(int(index) & _MASK64))
         return RngStream(self.seed, child)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n independent uniforms on [0, 1)."""
-        if n < 0:
-            raise ValueError(f"draw count must be non-negative, got {n}")
-        return self._bits.random(int(n))
-
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform draw(s) on [low, high)."""
         return low + (high - low) * self._bits.random(size)

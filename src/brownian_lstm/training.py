@@ -1,15 +1,16 @@
 """Minibatch training loop with early stopping.
 
 Losses are means over the batch, so gradients scale like averages and
-the learning rate is batch-size stable.  The alpha parameter is updated
-by the same optimizer step as the weights, using the dL/dalpha value
-accumulated by backpropagation through time; with plain SGD that is
+the learning rate is batch-size stable.  alpha is one of the
+params.arrays(), updated in the same loop as the weights from the
+dL/dalpha accumulated by backpropagation through time; with SGD that is
 
     alpha <- alpha - lr * dL/dalpha
 
 which for BrownianReLU increases alpha whenever the accumulated
 delta * b terms (errors times sampled mean paths on the negative
-branch) say it should.
+branch) say it should.  A frozen alpha gets a zero gradient, which
+leaves it bit for bit unchanged under SGD and Adam alike.
 
 Stochastic activations draw fresh noise for every minibatch from a
 dedicated stream, so a (config seed, data) pair pins the entire run;
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationKind
-from .lstm import PARAM_KEYS, LstmParams, backward_bptt, sequence_forward
+from .activations import ActivationKind, NonFiniteInput
+from .lstm import LstmParams, backward_bptt, sequence_forward
 from .metrics import r2
 from .numerics import RngStream, write_text
 
@@ -39,7 +40,7 @@ EVAL_BATCH = 256
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite or alpha leaves its guard."""
+    """Raised by train for a run that blows up (see train)."""
 
 
 @dataclass
@@ -165,63 +166,40 @@ class OptimizerState:
 
     def __init__(self):
         self.step = 0
-        self.m: dict[str, np.ndarray | float] = {}
-        self.v: dict[str, np.ndarray | float] = {}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale grads in place to a global L2 norm cap; returns the norm."""
-    total = 0.0
-    for value in grads.values():
-        if isinstance(value, float):
-            total += value * value
-        else:
-            total += float(np.sum(value * value))
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
-        for key, value in grads.items():
-            if isinstance(value, float):
-                grads[key] = value * scale
-            else:
-                value *= scale
+        for value in grads.values():
+            value *= scale
     return norm
 
 
 def optimizer_step(params: LstmParams, grads: dict, state: OptimizerState,
                    config: TrainConfig) -> None:
-    """Apply one SGD or Adam update in place (alpha included)."""
+    """Apply one SGD or Adam update in place to every params.arrays()."""
     lr = config.learning_rate
-    keys = PARAM_KEYS + ("alpha",)
     if config.optimizer == "sgd":
-        for key in keys:
-            g = grads[key]
-            if key == "alpha":
-                params.alpha = params.alpha - lr * float(g)
-            else:
-                weights = getattr(params, key)
-                weights -= lr * g
+        for key, weights in params.arrays().items():
+            weights -= lr * grads[key]
         return
     state.step += 1
     t = state.step
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for key in keys:
+    for key, weights in params.arrays().items():
         g = grads[key]
-        if key not in state.m:
-            state.m[key] = 0.0 if key == "alpha" else np.zeros_like(g)
-            state.v[key] = 0.0 if key == "alpha" else np.zeros_like(g)
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * (g * g)
+        state.m[key] = b1 * state.m.get(key, 0.0) + (1.0 - b1) * g
+        state.v[key] = b2 * state.v.get(key, 0.0) + (1.0 - b2) * (g * g)
         m_hat = state.m[key] / bias1
         v_hat = state.v[key] / bias2
-        if key == "alpha":
-            params.alpha = params.alpha - lr * float(
-                m_hat / (math.sqrt(v_hat) + eps))
-        else:
-            weights = getattr(params, key)
-            weights -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        weights -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def _batch_tensor(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -278,8 +256,10 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
         (best_params, TrainHistory).  best_params is the snapshot from
         the epoch with the lowest validation loss.  Minibatches are
         taken in chronological order; stochastic activations consume
-        fresh noise per minibatch.  Raises TrainingDiverged on
-        non-finite loss or |alpha| > config.alpha_guard.
+        fresh noise per minibatch.  Raises ValueError for non-finite
+        data, and TrainingDiverged naming the epoch and the batch for a
+        non-finite loss, forward state or parameter array (and its key)
+        or |alpha| > config.alpha_guard.
     """
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets, dtype=np.float64).ravel()
@@ -296,6 +276,9 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
         raise ValueError(
             f"{n_train} training sequences but {train_targets.size} targets"
         )
+    if not all(np.isfinite(data).all() for data in
+               (train_inputs, train_targets, val_inputs, val_targets)):
+        raise ValueError("training and validation data hold NaN or an inf")
 
     params = params.copy()
     loss_fn = bce_loss if config.loss == "bce" else mse_loss
@@ -308,48 +291,57 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
     best_params = params.copy()
     stop_best = math.inf
     bad_epochs = 0
+    batch_starts = range(0, n_train, config.batch_size)
 
-    for epoch in range(config.max_epochs):
-        epoch_loss = 0.0
-        epoch_preds = np.empty(n_train)
-        for start in range(0, n_train, config.batch_size):
-            idx = np.arange(start, min(start + config.batch_size, n_train))
-            x = _batch_tensor(train_inputs, idx)
-            pred, trace = sequence_forward(params, x, kind, rng=noise_rng,
-                                           head=config.head)
-            loss, dpred = loss_fn(pred[0], train_targets[idx])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch + 1}"
-                )
-            epoch_loss += loss * idx.size
-            epoch_preds[idx] = pred[0]
-            grads = backward_bptt(params, trace, dpred.reshape(1, -1))
-            if config.freeze_alpha or not kind.has_alpha:
-                grads["alpha"] = 0.0
-            clip_gradients(grads, config.clip_norm)
-            optimizer_step(params, grads, opt_state, config)
-            if abs(params.alpha) > config.alpha_guard:
-                raise TrainingDiverged(
-                    f"alpha diverged to {params.alpha} at epoch {epoch + 1}"
-                )
-        val_loss, _ = evaluate(params, kind, val_inputs, val_targets,
-                               config, eval_rng)
-        history.train_loss.append(epoch_loss / n_train)
-        history.val_loss.append(val_loss)
-        history.metric.append(_epoch_metric(config, epoch_preds,
-                                            train_targets))
-        history.alpha.append(params.alpha)
+    try:
+        for epoch in range(config.max_epochs):
+            epoch_loss = 0.0
+            epoch_preds = np.empty(n_train)
+            for batch, start in enumerate(batch_starts):
+                where = f"epoch {epoch + 1}, batch {batch + 1}"
+                idx = np.arange(start, min(start + config.batch_size, n_train))
+                x = _batch_tensor(train_inputs, idx)
+                pred, trace = sequence_forward(params, x, kind, rng=noise_rng,
+                                               head=config.head)
+                loss, dpred = loss_fn(pred[0], train_targets[idx])
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(f"non-finite loss at {where}")
+                epoch_loss += loss * idx.size
+                epoch_preds[idx] = pred[0]
+                grads = backward_bptt(params, trace, dpred.reshape(1, -1))
+                if config.freeze_alpha:
+                    grads["alpha"][...] = 0.0
+                clip_gradients(grads, config.clip_norm)
+                optimizer_step(params, grads, opt_state, config)
+                for key, value in params.arrays().items():
+                    if not np.isfinite(value).all():
+                        raise TrainingDiverged(
+                            f"parameter '{key}' went non-finite at {where}")
+                if abs(params.alpha) > config.alpha_guard:
+                    raise TrainingDiverged(
+                        f"alpha diverged to {params.alpha} at {where}")
+            where = f"epoch {epoch + 1}, validation"
+            val_loss, _ = evaluate(params, kind, val_inputs, val_targets,
+                                   config, eval_rng)
+            history.train_loss.append(epoch_loss / n_train)
+            history.val_loss.append(val_loss)
+            history.metric.append(_epoch_metric(config, epoch_preds,
+                                                train_targets))
+            history.alpha.append(params.alpha)
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            history.epoch_of_convergence = epoch + 1
-        if val_loss < stop_best - config.min_delta:
-            stop_best = val_loss
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = params.copy()
+                history.epoch_of_convergence = epoch + 1
+            if val_loss < stop_best - config.min_delta:
+                stop_best = val_loss
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= config.patience:
+                    break
+    except NonFiniteInput as exc:
+        # The data are finite (checked above), so only weights grown large
+        # enough to overflow the state feed an activation a non-finite input.
+        raise TrainingDiverged(f"forward pass overflowed at {where}") from exc
     return best_params, history

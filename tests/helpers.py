@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from brownian_lstm.lstm import PARAM_KEYS, sequence_forward
+from brownian_lstm.lstm import sequence_forward
 from brownian_lstm.training import bce_loss, mse_loss
 
 
@@ -29,9 +29,8 @@ def loss_at(params, kind, inputs, targets, head, noise):
 def numeric_gradients(params, kind, inputs, targets, head, noise,
                       h: float = 1e-5) -> dict:
     """Central-difference gradients of loss_at for every parameter."""
-    grads: dict[str, np.ndarray | float] = {}
-    for key in PARAM_KEYS:
-        arr = getattr(params, key)
+    grads: dict[str, np.ndarray] = {}
+    for key, arr in params.arrays().items():
         g = np.zeros_like(arr)
         flat = arr.ravel()
         g_flat = g.ravel()
@@ -44,11 +43,4 @@ def numeric_gradients(params, kind, inputs, targets, head, noise,
             flat[i] = orig
             g_flat[i] = (up - down) / (2.0 * h)
         grads[key] = g
-    orig = params.alpha
-    params.alpha = orig + h
-    up = loss_at(params, kind, inputs, targets, head, noise)
-    params.alpha = orig - h
-    down = loss_at(params, kind, inputs, targets, head, noise)
-    params.alpha = orig
-    grads["alpha"] = (up - down) / (2.0 * h)
     return grads

@@ -270,7 +270,7 @@ def test_08_metric_oracles():
                 assert got[key] == pytest.approx(value, abs=1e-15)
 
     rng = RngStream(77)
-    score = rng.uniforms(10_000)
+    score = rng.uniform(size=10_000)
     label = np.zeros(10_000)
     label[:5_000] = 1.0
     label = label[rng.permutation(10_000)]

@@ -28,7 +28,8 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data",
 def _zero_params(d, n, out, alpha=0.25):
     return LstmParams(w=np.zeros((4 * n, d)), u=np.zeros((4 * n, n)),
                       b=np.zeros((4 * n, 1)), w_y=np.zeros((out, n)),
-                      b_y=np.zeros((out, 1)), alpha=alpha)
+                      b_y=np.zeros((out, 1)),
+                      alpha_array=np.full((1, 1), alpha))
 
 
 def _sigmoid(z):
@@ -40,14 +41,14 @@ class TestInit:
         a = init_params(3, 5, 1, seed=11)
         b = init_params(3, 5, 1, seed=11)
         for key in PARAM_KEYS:
-            assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
+            assert a.arrays()[key].tobytes() == b.arrays()[key].tobytes()
         assert not np.array_equal(a.w, init_params(3, 5, 1, seed=12).w)
 
     def test_shapes(self):
         p = init_params(3, 5, 2, seed=1)
         shapes = {key: value.shape for key, value in p.arrays().items()}
         assert shapes == {"w": (20, 3), "u": (20, 5), "b": (20, 1),
-                          "w_y": (2, 5), "b_y": (2, 1)}
+                          "w_y": (2, 5), "b_y": (2, 1), "alpha": (1, 1)}
 
     def test_biases_and_alpha(self):
         # The forget gate is the first row block of the stacked bias.
@@ -215,7 +216,6 @@ class TestBackwardBptt:
         grads = backward_bptt(p, trace, np.zeros((1, 1)))
         for key in PARAM_KEYS:
             np.testing.assert_array_equal(grads[key], 0.0)
-        assert grads["alpha"] == 0.0
 
     @pytest.mark.parametrize("kind", DET_KINDS,
                              ids=[k.name for k in DET_KINDS])
@@ -228,7 +228,7 @@ class TestBackwardBptt:
             loss, dpred = _mse(pred, target)
             grads = backward_bptt(p, trace, dpred)
             fd = numeric_gradients(p, kind, x, target, "linear", None)
-            for key in PARAM_KEYS + ("alpha",):
+            for key in PARAM_KEYS:
                 assert rel_error(grads[key], fd[key]) < 1e-6, key
 
     def test_brownian_gradients_match_frozen_finite_differences(self):
@@ -243,7 +243,7 @@ class TestBackwardBptt:
             loss, dpred = _mse(pred, target)
             grads = backward_bptt(p, trace, dpred)
             fd = numeric_gradients(p, kind, x, target, "linear", noise)
-            for key in PARAM_KEYS + ("alpha",):
+            for key in PARAM_KEYS:
                 assert rel_error(grads[key], fd[key]) < 1e-4, key
 
     def test_sigmoid_head_gradients_match_finite_differences(self):
@@ -256,7 +256,7 @@ class TestBackwardBptt:
         loss, dpred = bce_loss(pred[0], label)
         grads = backward_bptt(p, trace, dpred.reshape(1, 1))
         fd = numeric_gradients(p, kind, x, label, "sigmoid", None)
-        for key in PARAM_KEYS + ("alpha",):
+        for key in PARAM_KEYS:
             assert rel_error(grads[key], fd[key]) < 1e-6, key
 
     def test_alpha_gradient_decomposes_over_sites(self):
@@ -288,7 +288,7 @@ class TestBackwardBptt:
                                  do * step.o * (1 - step.o), dzc])
             dh = p.u.T @ dz
             dc = dc * step.f
-        assert grads["alpha"] == pytest.approx(total, rel=1e-12)
+        assert grads["alpha"][0, 0] == pytest.approx(total, rel=1e-12)
 
     def test_dpred_shape_mismatch_rejected(self):
         p = init_params(1, 2, 1, seed=1)
@@ -308,7 +308,8 @@ class TestCheckpoint:
         assert loaded_kind == kind
         assert loaded.alpha == p.alpha
         for key in PARAM_KEYS:
-            assert getattr(loaded, key).tobytes() == getattr(p, key).tobytes()
+            assert (loaded.arrays()[key].tobytes()
+                    == p.arrays()[key].tobytes())
         path2 = tmp_path / "model2.json"
         save_checkpoint(str(path2), loaded, loaded_kind)
         assert path.read_bytes() == path2.read_bytes()
@@ -353,6 +354,10 @@ class TestCheckpoint:
         ("u_o", [[0.0] * 4] * 3 + [[0.0]], r"'u_o' is not a numeric matrix"),
         ("w_i", None, r"missing key 'w_i'"),
         ("b_y", None, r"missing key 'b_y'"),
+        ("w_y", [[0.0, float("inf"), 0.0, 0.0]],
+         r"'w_y' is not finite"),
+        ("b_f", [[0.0], [float("nan")], [0.0], [0.0]],
+         r"'b_f' is not finite"),
     ])
     def test_malformed_arrays_rejected(self, tmp_path, key, value, message):
         # d = 2, n = 4, out = 1.
@@ -381,6 +386,8 @@ class TestCheckpoint:
         (None, "alpha", "x",
          r"field 'alpha' holds 'x', expected int or float"),
         (None, "alpha", True, r"field 'alpha' holds True"),
+        (None, "alpha", float("nan"), r"field 'alpha' holds nan"),
+        (None, "alpha", float("-inf"), r"field 'alpha' holds -inf"),
     ])
     def test_wrongly_typed_fields_rejected(self, tmp_path, section, key,
                                            value, message):

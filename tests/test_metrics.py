@@ -89,8 +89,8 @@ class TestConfusionMetrics:
 
     def test_counts_sum_to_n(self):
         rng = RngStream(2)
-        prob = rng.uniforms(100)
-        label = (rng.uniforms(100) > 0.6).astype(float)
+        prob = rng.uniform(size=100)
+        label = (rng.uniform(size=100) > 0.6).astype(float)
         got = confusion_metrics(prob, label)
         assert got["tp"] + got["fp"] + got["fn"] + got["tn"] == 100
 
@@ -133,8 +133,8 @@ class TestRocAuc:
         for trial in range(20):
             sub = rng.substream(trial)
             # Coarse grid scores force plenty of ties.
-            score = np.round(sub.uniforms(30) * 8) / 8.0
-            label = (sub.uniforms(30) < 0.4).astype(float)
+            score = np.round(sub.uniform(size=30) * 8) / 8.0
+            label = (sub.uniform(size=30) < 0.4).astype(float)
             if label.min() == label.max():
                 continue
             got = roc_auc(score, label)
@@ -143,16 +143,16 @@ class TestRocAuc:
 
     def test_monotone_transform_invariance(self):
         rng = RngStream(23)
-        score = rng.uniforms(200)
-        label = (rng.uniforms(200) < 0.3).astype(float)
+        score = rng.uniform(size=200)
+        label = (rng.uniform(size=200) < 0.3).astype(float)
         base = roc_auc(score, label)
         assert roc_auc(np.exp(3.0 * score), label) == pytest.approx(
             base, abs=1e-12)
 
     def test_complement_symmetry(self):
         rng = RngStream(29)
-        score = rng.uniforms(50)
-        label = (rng.uniforms(50) < 0.5).astype(float)
+        score = rng.uniform(size=50)
+        label = (rng.uniform(size=50) < 0.5).astype(float)
         a = roc_auc(score, label)
         b = roc_auc(-score, label)
         assert a + b == pytest.approx(1.0, abs=1e-12)
@@ -163,7 +163,7 @@ class TestRocAuc:
 
     def test_random_scores_near_half(self):
         rng = RngStream(31)
-        score = rng.uniforms(10_000)
+        score = rng.uniform(size=10_000)
         label = np.zeros(10_000)
         label[:5_000] = 1.0
         label = label[rng.permutation(10_000)]

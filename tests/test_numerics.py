@@ -9,7 +9,7 @@ from brownian_lstm.numerics import RngStream
 class TestRngStream:
     def test_replay_is_bit_identical(self):
         def script(stream):
-            parts = [stream.standard_normals(5), stream.uniforms(3),
+            parts = [stream.standard_normals(5), stream.uniform(size=3),
                      stream.standard_normals(4),
                      stream.normals((2, 2), mean=1.0, std=2.0).ravel()]
             return np.concatenate(parts)

@@ -59,3 +59,26 @@ def test_only_write_text_writes_files():
     found = [hit for path in sorted(PACKAGE_DIR.glob("*.py"))
              for hit in _file_writes(path)]
     assert found == []
+
+
+def _scalar_parameter_paths(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id == "float"
+                   for n in names):
+                yield f"{path.name}:{node.lineno} tests isinstance float"
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if any(isinstance(o, ast.Constant) and o.value == "alpha"
+                   for o in operands):
+                yield f"{path.name}:{node.lineno} compares with 'alpha'"
+
+
+def test_training_updates_alpha_like_every_other_parameter():
+    # alpha is one of the PARAM_KEYS arrays: clipping and the optimizer
+    # need no type test and no alpha-only branch.
+    assert list(_scalar_parameter_paths(PACKAGE_DIR / "training.py")) == []

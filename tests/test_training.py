@@ -76,26 +76,25 @@ class TestLosses:
 
 class TestClip:
     def test_no_clip_below_threshold(self):
-        grads = {"w": np.array([[3.0]]), "alpha": 4.0}
+        grads = {"w": np.array([[3.0]]), "alpha": np.array([[4.0]])}
         norm = clip_gradients(grads, 10.0)
         assert norm == pytest.approx(5.0, rel=1e-15)
-        assert grads["w"][0, 0] == 3.0 and grads["alpha"] == 4.0
+        assert grads["w"][0, 0] == 3.0 and grads["alpha"][0, 0] == 4.0
 
     def test_clip_rescales_to_threshold(self):
-        grads = {"w": np.array([[30.0]]), "alpha": 40.0}
+        grads = {"w": np.array([[30.0]]), "alpha": np.array([[40.0]])}
         clip_gradients(grads, 5.0)
-        total = np.sqrt(grads["w"][0, 0] ** 2 + grads["alpha"] ** 2)
-        assert total == pytest.approx(5.0, rel=1e-12)
+        w, alpha = grads["w"][0, 0], grads["alpha"][0, 0]
+        assert np.sqrt(w ** 2 + alpha ** 2) == pytest.approx(5.0, rel=1e-12)
         # Direction preserved.
-        assert grads["w"][0, 0] / grads["alpha"] == pytest.approx(0.75)
+        assert w / alpha == pytest.approx(0.75)
 
 
 class TestOptimizerStep:
     def test_sgd_hand_case(self):
         p = init_params(1, 1, 1, seed=0)
         p.w[0, 0] = 1.0
-        grads = {key: np.zeros_like(getattr(p, key)) for key in PARAM_KEYS}
-        grads["alpha"] = 0.0
+        grads = {key: np.zeros_like(v) for key, v in p.arrays().items()}
         grads["w"][0, 0] = 0.5
         state = OptimizerState()
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
@@ -104,8 +103,8 @@ class TestOptimizerStep:
 
     def test_sgd_alpha_updates(self):
         p = init_params(1, 1, 1, seed=0, alpha=0.25)
-        grads = {key: np.zeros_like(getattr(p, key)) for key in PARAM_KEYS}
-        grads["alpha"] = -1.0
+        grads = {key: np.zeros_like(v) for key, v in p.arrays().items()}
+        grads["alpha"][0, 0] = -1.0
         state = OptimizerState()
         cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
         optimizer_step(p, grads, state, cfg)
@@ -116,8 +115,7 @@ class TestOptimizerStep:
         # close to lr regardless of gradient scale.
         p = init_params(1, 1, 1, seed=0)
         start = p.w[0, 0]
-        grads = {key: np.zeros_like(getattr(p, key)) for key in PARAM_KEYS}
-        grads["alpha"] = 0.0
+        grads = {key: np.zeros_like(v) for key, v in p.arrays().items()}
         grads["w"][0, 0] = 123.0
         state = OptimizerState()
         cfg = TrainConfig(optimizer="adam", learning_rate=0.01)
@@ -126,18 +124,19 @@ class TestOptimizerStep:
 
     def test_freeze_alpha_holds_through_training(self):
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=20)
-        cfg = TrainConfig(max_epochs=3, batch_size=8, seed=1,
-                          freeze_alpha=True)
-        p = init_params(1, 3, 1, seed=2, alpha=0.4)
-        best, history = train(p, ActivationKind.brownian(m=5),
-                              tr_in, tr_tg, va_in, va_tg, cfg)
-        assert best.alpha == 0.4
-        assert all(a == 0.4 for a in history.alpha)
+        for optimizer in ("adam", "sgd"):
+            cfg = TrainConfig(max_epochs=3, batch_size=8, seed=1,
+                              optimizer=optimizer, freeze_alpha=True)
+            p = init_params(1, 3, 1, seed=2, alpha=0.4)
+            best, history = train(p, ActivationKind.brownian(m=5),
+                                  tr_in, tr_tg, va_in, va_tg, cfg)
+            assert best.alpha == 0.4, optimizer
+            assert all(a == 0.4 for a in history.alpha), optimizer
 
 
 def _toy_regression(n=40, t=5, d=1, seed=3):
     rng = RngStream(seed)
-    inputs = rng.uniforms(n * t * d).reshape(n, t, d)
+    inputs = rng.uniform(size=n * t * d).reshape(n, t, d)
     targets = inputs[:, -1, 0] * 0.5 + 0.1
     return inputs, targets
 
@@ -218,6 +217,45 @@ class TestTrainLoop:
             train(p, ActivationKind.brownian(m=5),
                   tr_in, tr_tg, va_in, va_tg, cfg)
 
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    @pytest.mark.parametrize("name", ["relu", "leaky_relu", "prelu",
+                                      "tanh", "gelu", "brownian"])
+    def test_every_blow_up_raises_training_diverged(self, name, batch_size):
+        # Kinds fail differently (forward state overflowed in a training
+        # batch or in validation, non-finite loss, alpha guard), but
+        # always as TrainingDiverged naming where.
+        tr_in, tr_tg, va_in, va_tg = _toy_split()
+        cfg = TrainConfig(max_epochs=3, batch_size=batch_size, seed=1,
+                          optimizer="sgd", learning_rate=1e200,
+                          clip_norm=0.0)
+        p = init_params(1, 4, 1, seed=2)
+        with pytest.raises(TrainingDiverged,
+                           match=r"at epoch \d, (batch \d|validation)$"):
+            train(p, getattr(ActivationKind, name)(),
+                  tr_in, tr_tg, va_in, va_tg, cfg)
+
+    def test_non_finite_parameter_names_its_key(self):
+        tr_in, tr_tg, va_in, va_tg = _toy_split()
+        cfg = TrainConfig(max_epochs=3, batch_size=16, seed=1,
+                          optimizer="sgd", learning_rate=1e300,
+                          clip_norm=0.0)
+        p = init_params(1, 4, 1, seed=2)
+        with pytest.raises(TrainingDiverged,
+                           match="parameter 'w' went non-finite at epoch 1, "
+                                 "batch 1"):
+            train(p, ActivationKind.tanh(), tr_in, tr_tg * 1e10,
+                  va_in, va_tg, cfg)
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_data_rejected(self, which):
+        data = list(_toy_split(n=20))
+        data[which] = data[which].copy()
+        data[which].flat[0] = np.nan
+        cfg = TrainConfig(max_epochs=1, seed=1)
+        with pytest.raises(ValueError, match="NaN or an inf"):
+            train(init_params(1, 3, 1, seed=2), ActivationKind.relu(),
+                  *data, cfg)
+
     def test_single_batch_step_matches_hand_composition(self):
         # One epoch, one minibatch, SGD: the trained params must equal
         # manually running forward, backward, clip, step.
@@ -231,7 +269,6 @@ class TestTrainLoop:
         pred, trace = sequence_forward(manual, batch, kind)
         _, dpred = mse_loss(pred[0], tr_tg)
         grads = backward_bptt(manual, trace, dpred.reshape(1, -1))
-        grads["alpha"] = 0.0
         clip_gradients(grads, cfg.clip_norm)
         state = OptimizerState()
         optimizer_step(manual, grads, state, cfg)
@@ -239,8 +276,8 @@ class TestTrainLoop:
         p = init_params(1, 3, 1, seed=9)
         best, _ = train(p, kind, tr_in, tr_tg, va_in, va_tg, cfg)
         for key in PARAM_KEYS:
-            assert getattr(best, key).tobytes() == \
-                getattr(manual, key).tobytes(), key
+            assert best.arrays()[key].tobytes() == \
+                manual.arrays()[key].tobytes(), key
 
     def test_classification_smoke(self):
         rng = RngStream(11)
@@ -315,7 +352,7 @@ class TestEvaluate:
         # One 256-window call at the paper's shape (T = 60, d = 1, n = 50,
         # M = 1000).  A recorded trace of it holds about 77 MB; without
         # one only a step's arrays are live at a time.
-        inputs = RngStream(3).uniforms(256 * 60).reshape(256, 60, 1)
+        inputs = RngStream(3).uniform(size=256 * 60).reshape(256, 60, 1)
         p = init_params(1, 50, 1, seed=4)
         kind = ActivationKind.brownian(m=1000)
         tracemalloc.start()
