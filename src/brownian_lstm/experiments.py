@@ -17,11 +17,14 @@ through the activation itself (and the noise it consumes).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -404,24 +407,72 @@ def _classification_row(config: ExperimentConfig, seed: int,
             scores["precision"], scores["recall"], scores["f1"], auc]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot say)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _job_map(jobs: int):
+    """An ordered map for `jobs` independent jobs.
+
+    It is a forked process pool's map, one worker per usable CPU up to
+    one per job, when there are at least 2 of each and the platform can
+    fork; otherwise the builtin map.  Forked workers inherit the loaded
+    modules (monkeypatches included) instead of importing them again.
+    Forking is safe here because the package starts no threads of its
+    own (tests/test_package.py) and a fork-context pool starts every
+    worker before its management thread.  Every worker is joined, with
+    pending jobs cancelled, before the block is left.
+    """
+    workers = min(jobs, _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_job(job) -> list:
+    row_fn, *args = job
+    return row_fn(*args)
+
+
 def _run_cells(config: ExperimentConfig, datasets, cells,
                row_fn) -> list[list]:
-    """Train (label, kind, fixed_alpha) cells at every seed; add mean rows."""
+    """Train (label, kind, fixed_alpha) cells at every seed; add mean rows.
+
+    Each (cell, seed) job depends only on its arguments, so the jobs may
+    run in worker processes (see _job_map); rows are collected in
+    report order, which makes the report bytes the same either way.
+    The first failing job in that order is the one reported.
+    """
+    jobs = [(label, seed, (row_fn, config, seed, kind, datasets, fixed_alpha))
+            for label, kind, fixed_alpha in cells for seed in config.seeds]
+    results: list[list] = []
+    with _job_map(len(jobs)) as run:
+        try:
+            for row in run(_run_job, [job for *_, job in jobs]):
+                results.append(row)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            label, seed, _ = jobs[len(results)]
+            raise RuntimeError(
+                f"cell ({label}, seed={seed}) failed: {exc}"
+            ) from exc
     rows: list[list] = []
-    for label, kind, fixed_alpha in cells:
-        cell_rows = []
-        for seed in config.seeds:
-            try:
-                cell_rows.append(
-                    row_fn(config, seed, kind, datasets, fixed_alpha))
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise RuntimeError(
-                    f"cell ({label}, seed={seed}) failed: {exc}"
-                ) from exc
+    per_cell = len(config.seeds)
+    for start in range(0, len(results), per_cell):
+        cell_rows = results[start:start + per_cell]
         rows.extend(cell_rows)
-        if len(config.seeds) > 1:
+        if per_cell > 1:
             rows.append(_mean_row(cell_rows))
     return rows
 

@@ -77,6 +77,16 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (0.0 < self.adam_eps < math.inf):
+            raise ValueError(
+                f"adam_eps must be > 0 and finite, got {self.adam_eps}")
+        if not (self.clip_norm >= 0.0):
+            raise ValueError(f"clip_norm must be >= 0 (0 turns clipping "
+                             f"off), got {self.clip_norm}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.min_delta < 0.0:

@@ -1,9 +1,11 @@
 """Experiment harnesses, report files, figures, and the CLI."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -279,6 +281,99 @@ class TestCellFailure:
         with pytest.raises(RuntimeError) as info:
             runner(config(tmp_path))
         assert str(info.value) == f"cell ({label}, seed=1) failed: overflow"
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool forks")
+
+
+class _CountingPool(ProcessPoolExecutor):
+    """ProcessPoolExecutor that records the worker counts it is given."""
+
+    workers: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        type(self).workers.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def pool_on(monkeypatch):
+    """Run harness cells as if 2 CPUs were usable; yields the worker
+    counts of the pools started."""
+    workers = []
+    monkeypatch.setattr(_CountingPool, "workers", workers)
+    monkeypatch.setattr(brownian_lstm.experiments, "ProcessPoolExecutor",
+                        _CountingPool)
+    monkeypatch.setattr(brownian_lstm.experiments, "_usable_cpus",
+                        lambda: 2)
+    return workers
+
+
+@needs_fork
+class TestWorkerPool:
+    @pytest.mark.parametrize("runner,config", [
+        (run_comparison,
+         lambda path: _fast_regression_config(
+             path, activations=("brownian", "relu"), seeds=(1, 2))),
+        (run_classification,
+         lambda path: _fast_classification_config(
+             path, activations=("brownian",), alphas=(0.1, 0.9))),
+    ])
+    def test_pool_and_serial_reports_are_byte_identical(
+            self, tmp_path, monkeypatch, runner, config):
+        for cpus in (1, 2):
+            monkeypatch.setattr(brownian_lstm.experiments, "_usable_cpus",
+                                lambda: cpus)
+            runner(config(tmp_path)).write(str(tmp_path), f"cpus{cpus}")
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"cpus1.{ext}").read_bytes() == \
+                (tmp_path / f"cpus2.{ext}").read_bytes()
+
+    def test_workers_capped_and_joined_after_return(self, tmp_path,
+                                                    pool_on):
+        run_comparison(_fast_regression_config(
+            tmp_path, activations=("relu", "tanh", "gelu")))
+        assert pool_on == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_job_runs_in_process(self, tmp_path, pool_on):
+        run_comparison(_fast_regression_config(tmp_path,
+                                               activations=("relu",)))
+        assert pool_on == []
+
+    def test_first_failure_in_report_order_and_workers_joined(
+            self, tmp_path, monkeypatch, pool_on):
+        real_train = brownian_lstm.experiments.train
+
+        def train_failing_tanh(params, kind, *args, **kwargs):
+            if kind.name == "tanh":
+                raise FloatingPointError("overflow")
+            return real_train(params, kind, *args, **kwargs)
+
+        monkeypatch.setattr(brownian_lstm.experiments, "train",
+                            train_failing_tanh)
+        with pytest.raises(RuntimeError) as info:
+            run_comparison(_fast_regression_config(
+                tmp_path, activations=("relu", "tanh", "gelu", "tanh"),
+                seeds=(1, 2)))
+        assert str(info.value) == "cell (Tanh, seed=1) failed: overflow"
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert pool_on == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_config_error_passes_through_unwrapped(self, tmp_path,
+                                                   monkeypatch, pool_on):
+        def train_config_error(*args, **kwargs):
+            raise ConfigError("bad cell")
+
+        monkeypatch.setattr(brownian_lstm.experiments, "train",
+                            train_config_error)
+        with pytest.raises(ConfigError, match="bad cell"):
+            run_comparison(_fast_regression_config(
+                tmp_path, activations=("relu", "tanh")))
+        assert multiprocessing.active_children() == []
 
 
 class TestPathsFigure:

@@ -82,3 +82,36 @@ def test_training_updates_alpha_like_every_other_parameter():
     # alpha is one of the PARAM_KEYS arrays: clipping and the optimizer
     # need no type test and no alpha-only branch.
     assert list(_scalar_parameter_paths(PACKAGE_DIR / "training.py")) == []
+
+
+_PROCESS_MODULES = ("multiprocessing", "concurrent.futures", "threading",
+                    "subprocess", "os.fork")
+
+
+def _process_creation(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}"
+                                for alias in node.names]
+        else:
+            modules = []
+        for module in modules:
+            if any(module == banned or module.startswith(banned + ".")
+                   for banned in _PROCESS_MODULES):
+                yield f"{path.name}:{node.lineno} imports {module}"
+        if isinstance(node, ast.Attribute) and node.attr == "fork" \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            yield f"{path.name}:{node.lineno} uses os.fork"
+
+
+def test_only_experiments_starts_processes():
+    # The harness worker pool joins every worker it starts; no other
+    # module may start processes or threads.
+    found = [hit for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "experiments.py"
+             for hit in _process_creation(path)]
+    assert found == []

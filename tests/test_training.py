@@ -134,6 +134,17 @@ class TestOptimizerStep:
             assert all(a == 0.4 for a in history.alpha), optimizer
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
+        ("adam_eps", -1e-8), ("clip_norm", float("nan")),
+        ("clip_norm", -1.0),
+    ])
+    def test_rejects_bad_optimizer_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+
 def _toy_regression(n=40, t=5, d=1, seed=3):
     rng = RngStream(seed)
     inputs = rng.uniform(size=n * t * d).reshape(n, t, d)
