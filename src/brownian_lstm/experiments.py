@@ -24,8 +24,11 @@ import json
 import math
 import multiprocessing
 import os
+import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -414,21 +417,51 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _package_functions() -> dict:
+    """{(holder, name): function} for every function held by the
+    package's loaded modules and by the classes defined in them."""
+    found = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != __package__:
+            continue
+        holders = [module] + [value for value in vars(module).values()
+                              if isinstance(value, type)
+                              and value.__module__ == module_name]
+        for holder in holders:
+            for name, value in vars(holder).items():
+                if isinstance(value, types.FunctionType):
+                    found[holder, name] = value
+    return found
+
+
+def _functions_replaced() -> bool:
+    """Whether any package function has been replaced since import.
+
+    Tracers, profilers and test spies observe the package by replacing
+    its functions and keep what they record in the calling process; a
+    forked worker would record into its own copy and lose it.
+    """
+    return any(getattr(holder, name, None) is not function
+               for (holder, name), function in _AS_IMPORTED.items())
+
+
 @contextlib.contextmanager
 def _job_map(jobs: int):
     """An ordered map for `jobs` independent jobs.
 
     It is a forked process pool's map, one worker per usable CPU up to
-    one per job, when there are at least 2 of each and the platform can
-    fork; otherwise the builtin map.  Forked workers inherit the loaded
-    modules (monkeypatches included) instead of importing them again.
+    one per job, when there are at least 2 of each and no package
+    function has been replaced; otherwise the builtin map.  Platforms
+    without `os.sched_getaffinity` (1 usable CPU here), which include
+    every platform without fork, run in process.  Forked workers
+    inherit the loaded modules instead of importing them again.
     Forking is safe here because the package starts no threads of its
     own (tests/test_package.py) and a fork-context pool starts every
     worker before its management thread.  Every worker is joined, with
     pending jobs cancelled, before the block is left.
     """
     workers = min(jobs, _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or _functions_replaced():
         yield map
         return
     pool = ProcessPoolExecutor(workers,
@@ -437,11 +470,6 @@ def _job_map(jobs: int):
         yield pool.map
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _run_job(job) -> list:
-    row_fn, *args = job
-    return row_fn(*args)
 
 
 def _run_cells(config: ExperimentConfig, datasets, cells,
@@ -453,17 +481,19 @@ def _run_cells(config: ExperimentConfig, datasets, cells,
     report order, which makes the report bytes the same either way.
     The first failing job in that order is the one reported.
     """
-    jobs = [(label, seed, (row_fn, config, seed, kind, datasets, fixed_alpha))
+    jobs = [(label, seed, kind, fixed_alpha)
             for label, kind, fixed_alpha in cells for seed in config.seeds]
+    _, seeds, kinds, alphas = zip(*jobs)
     results: list[list] = []
     with _job_map(len(jobs)) as run:
         try:
-            for row in run(_run_job, [job for *_, job in jobs]):
+            for row in run(row_fn, repeat(config), seeds, kinds,
+                           repeat(datasets), alphas):
                 results.append(row)
         except ConfigError:
             raise
         except Exception as exc:
-            label, seed, _ = jobs[len(results)]
+            label, seed, _, _ = jobs[len(results)]
             raise RuntimeError(
                 f"cell ({label}, seed={seed}) failed: {exc}"
             ) from exc
@@ -575,3 +605,7 @@ def emit_paths_figure(alphas, m_values, x_min: float, x_max: float,
         curves, title="Stochastic activation sample paths", xlabel="x",
         ylabel="f(x)"))
     return csv_path, svg_path
+
+
+# Taken last, when every function of this module is defined.
+_AS_IMPORTED = _package_functions()

@@ -18,7 +18,7 @@ from brownian_lstm.experiments import (CLASSIFICATION_HEADER,
                                        emit_paths_figure, parse_synth_spec,
                                        run_classification, run_comparison,
                                        run_sensitivity)
-from brownian_lstm.training import TrainConfig
+from brownian_lstm.training import TrainConfig, TrainingDiverged
 
 FAST_TRAIN = dict(max_epochs=2, batch_size=32)
 
@@ -298,6 +298,11 @@ class _CountingPool(ProcessPoolExecutor):
         super().__init__(max_workers, **kwargs)
 
 
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.fixture
 def pool_on(monkeypatch):
     """Run harness cells as if 2 CPUs were usable; yields the worker
@@ -306,8 +311,7 @@ def pool_on(monkeypatch):
     monkeypatch.setattr(_CountingPool, "workers", workers)
     monkeypatch.setattr(brownian_lstm.experiments, "ProcessPoolExecutor",
                         _CountingPool)
-    monkeypatch.setattr(brownian_lstm.experiments, "_usable_cpus",
-                        lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     return workers
 
 
@@ -322,11 +326,11 @@ class TestWorkerPool:
              path, activations=("brownian",), alphas=(0.1, 0.9))),
     ])
     def test_pool_and_serial_reports_are_byte_identical(
-            self, tmp_path, monkeypatch, runner, config):
+            self, tmp_path, monkeypatch, pool_on, runner, config):
         for cpus in (1, 2):
-            monkeypatch.setattr(brownian_lstm.experiments, "_usable_cpus",
-                                lambda: cpus)
+            _usable_cpus(monkeypatch, cpus)
             runner(config(tmp_path)).write(str(tmp_path), f"cpus{cpus}")
+        assert pool_on == [2]
         for ext in ("csv", "json"):
             assert (tmp_path / f"cpus1.{ext}").read_bytes() == \
                 (tmp_path / f"cpus2.{ext}").read_bytes()
@@ -344,36 +348,49 @@ class TestWorkerPool:
         assert pool_on == []
 
     def test_first_failure_in_report_order_and_workers_joined(
-            self, tmp_path, monkeypatch, pool_on):
-        real_train = brownian_lstm.experiments.train
-
-        def train_failing_tanh(params, kind, *args, **kwargs):
-            if kind.name == "tanh":
-                raise FloatingPointError("overflow")
-            return real_train(params, kind, *args, **kwargs)
-
-        monkeypatch.setattr(brownian_lstm.experiments, "train",
-                            train_failing_tanh)
+            self, tmp_path, pool_on):
+        # Every cell diverges in its worker; the first in report order
+        # is the one reported.
+        config = _fast_regression_config(
+            tmp_path, activations=("relu", "tanh", "gelu"), seeds=(1, 2),
+            train=TrainConfig(**{**FAST_TRAIN, "optimizer": "sgd",
+                                 "learning_rate": 1e200,
+                                 "clip_norm": 0.0}))
         with pytest.raises(RuntimeError) as info:
-            run_comparison(_fast_regression_config(
-                tmp_path, activations=("relu", "tanh", "gelu", "tanh"),
-                seeds=(1, 2)))
-        assert str(info.value) == "cell (Tanh, seed=1) failed: overflow"
-        assert isinstance(info.value.__cause__, FloatingPointError)
+            run_comparison(config)
+        assert str(info.value).startswith("cell (ReLU, seed=1) failed: ")
+        assert isinstance(info.value.__cause__, TrainingDiverged)
         assert pool_on == [2]
         assert multiprocessing.active_children() == []
 
-    def test_config_error_passes_through_unwrapped(self, tmp_path,
-                                                   monkeypatch, pool_on):
-        def train_config_error(*args, **kwargs):
-            raise ConfigError("bad cell")
+    def test_replaced_package_function_runs_in_process(
+            self, tmp_path, monkeypatch, pool_on):
+        # A tracer or spy that wraps a package function must see every
+        # call, so the harness keeps the jobs in this process.
+        real_train = brownian_lstm.experiments.train
+        kinds = []
 
-        monkeypatch.setattr(brownian_lstm.experiments, "train",
-                            train_config_error)
-        with pytest.raises(ConfigError, match="bad cell"):
-            run_comparison(_fast_regression_config(
-                tmp_path, activations=("relu", "tanh")))
-        assert multiprocessing.active_children() == []
+        def spy_train(params, kind, *args, **kwargs):
+            kinds.append(kind.name)
+            return real_train(params, kind, *args, **kwargs)
+
+        monkeypatch.setattr(brownian_lstm.experiments, "train", spy_train)
+        run_comparison(_fast_regression_config(
+            tmp_path, activations=("relu", "tanh")))
+        assert kinds == ["relu", "tanh"]
+        assert pool_on == []
+
+
+def test_config_error_from_a_cell_passes_through_unwrapped(tmp_path,
+                                                          monkeypatch):
+    def train_config_error(*args, **kwargs):
+        raise ConfigError("bad cell")
+
+    monkeypatch.setattr(brownian_lstm.experiments, "train",
+                        train_config_error)
+    with pytest.raises(ConfigError, match="bad cell"):
+        run_comparison(_fast_regression_config(
+            tmp_path, activations=("relu", "tanh")))
 
 
 class TestPathsFigure:
