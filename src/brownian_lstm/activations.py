@@ -165,8 +165,7 @@ class ActivationCache:
 
 
 def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
-               frozen_zbar: np.ndarray | None,
-               noise_mode: str) -> np.ndarray:
+               frozen_zbar: np.ndarray | None) -> np.ndarray:
     neg = x <= 0.0
     if frozen_zbar is not None:
         frozen_zbar = np.asarray(frozen_zbar, dtype=np.float64)
@@ -176,8 +175,6 @@ def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
                 f"input shape {x.shape}"
             )
         return np.where(neg, frozen_zbar, 0.0)
-    if noise_mode == "mean":
-        return np.zeros_like(x)
     if rng is None:
         raise ValueError("brownian activation requires an RngStream")
     zbar = np.zeros_like(x)
@@ -194,8 +191,7 @@ def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
 
 def forward(kind: ActivationKind, x, alpha: float = 0.0,
             rng: RngStream | None = None,
-            frozen_zbar: np.ndarray | None = None,
-            noise_mode: str = "sample"):
+            frozen_zbar: np.ndarray | None = None):
     """Apply the activation elementwise.
 
     Arguments:
@@ -204,8 +200,6 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
         alpha        learnable scalar (prelu slope / brownian scale)
         rng          noise source, required when sampling brownian
         frozen_zbar  reuse this noise instead of drawing (brownian only)
-        noise_mode   'sample' draws fresh noise, 'mean' substitutes the
-                     distribution mean (zero branch) for evaluation
 
     Returns:
         (y, cache) where y has the shape of x and cache supports
@@ -215,8 +209,6 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     if not np.isfinite(x).all():
         raise NonFiniteInput("activation input contains non-finite entries")
     alpha = float(alpha)
-    if noise_mode not in ("sample", "mean"):
-        raise ValueError(f"unknown noise_mode '{noise_mode}'")
 
     zbar = None
     if kind.name == "relu":
@@ -230,7 +222,7 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     elif kind.name == "gelu":
         y = x * _phi(x)
     else:
-        zbar = _draw_zbar(kind, x, rng, frozen_zbar, noise_mode)
+        zbar = _draw_zbar(kind, x, rng, frozen_zbar)
         b = np.sqrt(np.abs(x)) * zbar
         # + 0.0 normalizes -0.0 so alpha = 0 reproduces ReLU bitwise.
         y = np.where(x > 0.0, x, -(alpha * b) + 0.0)

@@ -3,15 +3,21 @@
 Subcommands: describe, train, sensitivity, compare, classify, paths.
 Data comes from --data CSV files or --synth generator specs; an
 optional --config JSON file supplies the same keys as the flags
-(dashes or underscores), with explicit flags taking precedence.
+(dashes or underscores), with explicit flags taking precedence.  Each
+flag sets one field of TrainConfig or ExperimentConfig, or one
+parameter of emit_paths_figure (the _*_FLAGS tables); a value that
+neither a flag nor the file sets keeps the subcommand's preset or else
+the default its target declares, which --help shows.
 
-Exit codes: 0 success, 2 usage or configuration error, 1 runtime
-failure; errors print a single line to stderr.
+Exit codes: 0 success, 2 usage or configuration error (a bad data file
+or synth spec included), 1 runtime failure; errors print a single line
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -24,42 +30,72 @@ from .lstm import save_checkpoint
 from .numerics import write_text
 from .training import TrainConfig
 
-ALL_ACTIVATIONS = "brownian,relu,leaky_relu,prelu,tanh,gelu"
-CLASSIFY_ALPHAS = "0.014,0.464,0.48,0.925,0.944"
+CLASSIFY_ALPHAS = (0.014, 0.464, 0.48, 0.925, 0.944)
+# ExperimentConfig values a subcommand sets in place of the declared ones.
+_PRESETS = {
+    "train": {"activations": ("brownian",), "m_values": (1000,)},
+    "sensitivity": {"activations": ("brownian",)},
+    "compare": {"m_values": (1000,)},
+    "classify": {"m_values": (1000,), "alphas": CLASSIFY_ALPHAS},
+}
 
 
-def _int_list(value, flag: str) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = str(value).split(",")
-    try:
-        return tuple(int(str(v).strip()) for v in items if str(v).strip())
-    except ValueError:
-        raise ConfigError(f"{flag} expects integers, got '{value}'") from None
+def _list(item):
+    """Parser of a comma-separated string or a JSON list into a tuple."""
+    def parse(value) -> tuple:
+        items = (value if isinstance(value, (list, tuple))
+                 else str(value).split(","))
+        return tuple(item(str(v).strip()) for v in items if str(v).strip())
+    return parse
 
 
-def _float_list(value, flag: str) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = str(value).split(",")
-    try:
-        return tuple(float(str(v).strip()) for v in items if str(v).strip())
-    except ValueError:
-        raise ConfigError(f"{flag} expects numbers, got '{value}'") from None
-
-
-def _str_list(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v).strip() for v in value if str(v).strip())
-    return tuple(v.strip() for v in str(value).split(",") if v.strip())
-
-
-def _alphas_value(value):
+def _alphas(value):
     if isinstance(value, str) and value.strip().lower() == "learned":
         return "learned"
-    return _float_list(value, "--alpha")
+    return _list(float)(value)
+
+
+# flag (dashes as underscores): (field, parse, help[, choices]).
+_TRAIN_FLAGS = {
+    "epochs": ("max_epochs", int, "epoch cap"),
+    "lr": ("learning_rate", float, "learning rate"),
+    "batch": ("batch_size", int, "minibatch size"),
+    "optimizer": ("optimizer", str, "update rule", ("sgd", "adam")),
+    "eval_noise": ("eval_noise", str, "evaluation noise handling",
+                   ("stochastic", "mean")),
+}
+_EXPERIMENT_FLAGS = {
+    "data": ("data_path", str, "CSV file to load"),
+    "synth": ("synth", str,
+              "synthetic data spec, e.g. gbm:7,1500,100,0.05,0.2"),
+    "column": ("value_column", str, "value column name"),
+    "out": ("out_dir", str, "output directory"),
+    "activations": ("activations", _list(str),
+                    "comma-separated activation names"),
+    "m": ("m_values", _list(int), "comma-separated Monte Carlo sample counts"),
+    "alpha": ("alphas", _alphas,
+              "'learned' or comma-separated fixed alpha values"),
+    "lookback": ("lookback", int, "window length"),
+    "hidden": ("hidden_dim", int, "LSTM hidden units"),
+    "split": ("split", float, "train fraction in (0, 1)"),
+    "sampling": ("sampling", str, "noise sampling mode",
+                 ("explicit", "collapsed")),
+    "norm_scope": ("norm_scope", str, "fit normalization on the full series "
+                   "or the training span only", ("full", "train")),
+    "seed": ("seeds", _list(int), "comma-separated seeds"),
+    "label_column": ("label_column", str, "label column name"),
+}
+_PATHS_FLAGS = {
+    "alpha": ("alphas", _list(float), "comma-separated alpha values"),
+    "m": ("m_values", _list(int), "comma-separated sample counts"),
+    "xmin": ("x_min", float, "grid start"),
+    "xmax": ("x_max", float, "grid end"),
+    "points": ("points", int, "grid size"),
+    "sampling": ("sampling", str, "noise sampling mode",
+                 ("explicit", "collapsed")),
+    "seed": ("seed", lambda value: _list(int)(value)[0], "noise seed"),
+    "out": ("out_dir", str, "output directory"),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -76,94 +112,62 @@ def _load_config_file(path: str) -> dict:
 
 
 class _Settings:
-    """Flag values merged over config-file values over defaults."""
+    """Flag values merged over config-file values."""
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file_cfg = (_load_config_file(ns.config)
-                         if getattr(ns, "config", None) else {})
+        self.file_cfg = _load_config_file(ns.config) if ns.config else {}
 
-    def pick(self, key: str, default=None):
+    def pick(self, key: str):
         value = getattr(self.ns, key, None)
-        if value is None:
-            value = self.file_cfg.get(key, default)
-        return value
+        return self.file_cfg.get(key) if value is None else value
+
+    def fields(self, table: dict, **preset) -> dict:
+        """Keyword arguments for table's target: the preset, then every
+        field whose flag a flag or the config file set."""
+        values = dict(preset)
+        for flag, (field, parse, *_) in table.items():
+            value = self.pick(flag)
+            if value is not None:
+                try:
+                    values[field] = parse(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"--{flag.replace('_', '-')}: {exc}"
+                                      ) from None
+        return values
 
 
-def _train_config(st: _Settings) -> TrainConfig:
+def _experiment_config(st: _Settings) -> ExperimentConfig:
+    preset = _PRESETS.get(st.ns.command, {})
     try:
-        return TrainConfig(
-            learning_rate=float(st.pick("lr", 1e-3)),
-            max_epochs=int(st.pick("epochs", 50)),
-            batch_size=int(st.pick("batch", 32)),
-            optimizer=str(st.pick("optimizer", "adam")),
-            eval_noise=str(st.pick("eval_noise", "stochastic")),
-        )
+        return ExperimentConfig(train=TrainConfig(**st.fields(_TRAIN_FLAGS)),
+                                **st.fields(_EXPERIMENT_FLAGS, **preset))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _experiment_config(st: _Settings, default_m: str,
-                       default_alpha: str,
-                       default_activations: str) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            data_path=st.pick("data"),
-            synth=st.pick("synth"),
-            value_column=str(st.pick("column", "Close")),
-            label_column=str(st.pick("label_column", "label")),
-            activations=_str_list(st.pick("activations",
-                                          default_activations)),
-            m_values=_int_list(st.pick("m", default_m), "--m"),
-            alphas=_alphas_value(st.pick("alpha", default_alpha)),
-            lookback=int(st.pick("lookback", 60)),
-            hidden_dim=int(st.pick("hidden", 50)),
-            split=float(st.pick("split", 0.8)),
-            sampling=str(st.pick("sampling", "collapsed")),
-            norm_scope=str(st.pick("norm_scope", "full")),
-            seeds=_int_list(st.pick("seed", "1"), "--seed"),
-            out_dir=str(st.pick("out") or "."),
-            train=_train_config(st),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _add_flags(sp: argparse.ArgumentParser, target, table: dict, flags,
+               preset=()) -> None:
+    """Add each of flags from table; its help shows the default target
+    declares for its field, unless that is None or preset."""
+    declared = inspect.signature(target).parameters
+    for flag in flags:
+        field, parse, text, *choices = table[flag]
+        default = declared[field].default
+        if default is not None and field not in preset:
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            text = f"{text} (default {default})"
+        sp.add_argument("--" + flag.replace("_", "-"), dest=flag, help=text,
+                        type=parse if parse in (int, float) else None,
+                        choices=choices[0] if choices else None)
 
 
-def _add_data_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--data", help="CSV file to load")
-    sp.add_argument("--synth",
-                    help="synthetic data spec, e.g. gbm:7,1500,100,0.05,0.2")
-    sp.add_argument("--column", help="value column name (default Close)")
+def _subcommand(sub, name: str, func, text: str) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=text)
     sp.add_argument("--config", help="JSON config file mirroring the flags")
-    sp.add_argument("--out", help="output directory (default .)")
-
-
-def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--activations",
-                    help="comma-separated activation names")
-    sp.add_argument("--m", help="comma-separated Monte Carlo sample counts")
-    sp.add_argument("--alpha",
-                    help="'learned' or comma-separated fixed alpha values")
-    sp.add_argument("--lookback", type=int, help="window length (default 60)")
-    sp.add_argument("--hidden", type=int,
-                    help="LSTM hidden units (default 50)")
-    sp.add_argument("--split", type=float,
-                    help="train fraction in (0, 1), default 0.8")
-    sp.add_argument("--epochs", type=int, help="epoch cap (default 50)")
-    sp.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    sp.add_argument("--batch", type=int, help="minibatch size (default 32)")
-    sp.add_argument("--optimizer", choices=("sgd", "adam"))
-    sp.add_argument("--eval-noise", dest="eval_noise",
-                    choices=("stochastic", "mean"),
-                    help="evaluation noise handling (default stochastic)")
-    sp.add_argument("--sampling", choices=("explicit", "collapsed"))
-    sp.add_argument("--norm-scope", dest="norm_scope",
-                    choices=("full", "train"),
-                    help="fit normalization on the full series or the "
-                         "training span only (default full)")
-    sp.add_argument("--seed", help="comma-separated seeds (default 1)")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,61 +177,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "activation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("describe",
-                        help="mean and sample variance of a price series")
-    _add_data_flags(sp)
-    sp.add_argument("--raw", action="store_true",
+    sp = _subcommand(sub, "describe", cmd_describe,
+                     "mean and sample variance of a price series")
+    _add_flags(sp, ExperimentConfig, _EXPERIMENT_FLAGS,
+               ("data", "synth", "column", "out"))
+    sp.add_argument("--raw", action="store_true", default=None,
                     help="describe raw values instead of normalized")
-    sp.set_defaults(func=cmd_describe)
 
-    sp = sub.add_parser("train", help="train one forecasting model")
-    _add_data_flags(sp)
-    _add_model_flags(sp)
-    sp.set_defaults(func=cmd_train)
+    for name, func, text in (
+            ("train", cmd_train, "train one forecasting model"),
+            ("sensitivity", cmd_sensitivity,
+             "Monte Carlo sample-count sensitivity report"),
+            ("compare", cmd_compare, "activation comparison report"),
+            ("classify", cmd_classify, "binary classification report")):
+        sp = _subcommand(sub, name, func, text)
+        flags = [f for f in _EXPERIMENT_FLAGS
+                 if f != "label_column" or name == "classify"]
+        _add_flags(sp, ExperimentConfig, _EXPERIMENT_FLAGS, flags,
+                   _PRESETS[name])
+        _add_flags(sp, TrainConfig, _TRAIN_FLAGS, _TRAIN_FLAGS)
 
-    sp = sub.add_parser("sensitivity",
-                        help="Monte Carlo sample-count sensitivity report")
-    _add_data_flags(sp)
-    _add_model_flags(sp)
-    sp.set_defaults(func=cmd_sensitivity)
-
-    sp = sub.add_parser("compare",
-                        help="activation comparison report")
-    _add_data_flags(sp)
-    _add_model_flags(sp)
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("classify",
-                        help="binary classification report")
-    _add_data_flags(sp)
-    _add_model_flags(sp)
-    sp.add_argument("--label-column", dest="label_column",
-                    help="label column name (default label)")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("paths",
-                        help="sampled activation curves (CSV + SVG)")
-    sp.add_argument("--alpha", help="comma-separated alpha values")
-    sp.add_argument("--m", help="comma-separated sample counts")
-    sp.add_argument("--xmin", type=float, help="grid start (default -5)")
-    sp.add_argument("--xmax", type=float, help="grid end (default 5)")
-    sp.add_argument("--points", type=int, help="grid size (default 401)")
-    sp.add_argument("--sampling", choices=("explicit", "collapsed"))
-    sp.add_argument("--seed", help="noise seed (default 7)")
-    sp.add_argument("--config", help="JSON config file mirroring the flags")
-    sp.add_argument("--out", help="output directory (default .)")
-    sp.set_defaults(func=cmd_paths)
-
+    sp = _subcommand(sub, "paths", cmd_paths,
+                     "sampled activation curves (CSV + SVG)")
+    _add_flags(sp, emit_paths_figure, _PATHS_FLAGS, _PATHS_FLAGS)
     return parser
 
 
 def cmd_describe(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
-    config = _experiment_config(st, "1000", "learned", ALL_ACTIVATIONS)
-    series = load_series(config)
+    series = load_series(_experiment_config(st))
     values = series.values
     label = "raw"
-    if not st.pick("raw", False):
+    if not st.pick("raw"):
         values, _, _ = minmax_normalize(values)
         label = "normalized"
     mean, variance = describe(values)
@@ -244,8 +225,7 @@ def cmd_describe(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    st = _Settings(ns)
-    config = _experiment_config(st, "1000", "learned", "brownian")
+    config = _experiment_config(_Settings(ns))
     fit = fit_forecaster(config)
     history_path = os.path.join(config.out_dir, "history.csv")
     model_path = os.path.join(config.out_dir, "model.json")
@@ -262,11 +242,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(ns: argparse.Namespace, default_m: str, default_alpha: str,
-                default_activations: str, runner, name: str) -> int:
-    st = _Settings(ns)
-    config = _experiment_config(st, default_m, default_alpha,
-                                default_activations)
+def _run_report(ns: argparse.Namespace, runner, name: str) -> int:
+    config = _experiment_config(_Settings(ns))
     report = runner(config)
     csv_path, json_path = report.write(config.out_dir, name)
     print(f"wrote {csv_path} and {json_path} ({len(report.rows)} rows)")
@@ -274,34 +251,20 @@ def _run_report(ns: argparse.Namespace, default_m: str, default_alpha: str,
 
 
 def cmd_sensitivity(ns: argparse.Namespace) -> int:
-    return _run_report(ns, "500,1000,1500", "learned", "brownian",
-                       run_sensitivity, "sensitivity")
+    return _run_report(ns, run_sensitivity, "sensitivity")
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    return _run_report(ns, "1000", "learned", ALL_ACTIVATIONS,
-                       run_comparison, "comparison")
+    return _run_report(ns, run_comparison, "comparison")
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    return _run_report(ns, "1000", CLASSIFY_ALPHAS, ALL_ACTIVATIONS,
-                       run_classification, "classification")
+    return _run_report(ns, run_classification, "classification")
 
 
 def cmd_paths(ns: argparse.Namespace) -> int:
-    st = _Settings(ns)
-    alphas = _float_list(st.pick("alpha", "0,0.5,1"), "--alpha")
-    m_values = _int_list(st.pick("m", "200,500,1000,1500"), "--m")
-    seeds = _int_list(st.pick("seed", "7"), "--seed")
     csv_path, svg_path = emit_paths_figure(
-        alphas, m_values,
-        x_min=float(st.pick("xmin", -5.0)),
-        x_max=float(st.pick("xmax", 5.0)),
-        seed=seeds[0],
-        out_dir=str(st.pick("out", ".")),
-        points=int(st.pick("points", 401)),
-        sampling=str(st.pick("sampling", "collapsed")),
-    )
+        **_Settings(ns).fields(_PATHS_FLAGS))
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 

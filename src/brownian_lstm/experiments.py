@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -207,13 +208,19 @@ def parse_synth_spec(spec: str):
         args = [float(a) for a in rest.split(",")] if rest else []
     except ValueError:
         raise ConfigError(f"synth spec '{spec}' has non-numeric args") from None
+
+    def integers(count: int) -> list[int]:
+        if not all(a.is_integer() for a in args[:count]):
+            raise ConfigError(f"synth spec '{spec}' has a seed, n or d that "
+                              f"is not an integer")
+        return [int(a) for a in args[:count]]
+
     if scheme == "gbm":
         if not 2 <= len(args) <= 5:
             raise ConfigError("gbm spec takes seed,n[,s0,mu,sigma]")
         defaults = [100.0, 0.05, 0.2]
         s0, mu, sigma = (args[2:] + defaults[len(args) - 2:])
-        return synth_gbm(int(args[0]), int(args[1]), s0=s0, mu=mu,
-                         sigma=sigma)
+        return synth_gbm(*integers(2), s0=s0, mu=mu, sigma=sigma)
     if scheme == "sine":
         if not 2 <= len(args) <= 8:
             raise ConfigError(
@@ -223,16 +230,27 @@ def parse_synth_spec(spec: str):
         defaults = [100.0, 0.08, 0.1, 3.0, 40.0, 0.4]
         s0, mu, sigma, amp, period, noise = (
             args[2:] + defaults[len(args) - 2:])
-        return synth_sine_trend(int(args[0]), int(args[1]), s0=s0, mu=mu,
-                                sigma=sigma, amplitude=amp, period=period,
+        return synth_sine_trend(*integers(2), s0=s0, mu=mu, sigma=sigma,
+                                amplitude=amp, period=period,
                                 noise_std=noise)
     if scheme == "tab":
         if not 3 <= len(args) <= 4:
             raise ConfigError("tab spec takes seed,n,d[,positive_rate]")
         rate = args[3] if len(args) == 4 else 0.25
-        return synth_tabular(int(args[0]), int(args[1]), int(args[2]),
-                             positive_rate=rate)
+        return synth_tabular(*integers(3), positive_rate=rate)
     raise ConfigError(f"unknown synth scheme '{scheme}'")
+
+
+def _config_errors(build):
+    """build, with a ValueError from loading, windowing or splitting
+    (a bad data file, spec or setting) re-raised as ConfigError."""
+    @functools.wraps(build)
+    def checked(config: ExperimentConfig):
+        try:
+            return build(config)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return checked
 
 
 def _dataset_stem(path: str) -> str:
@@ -240,13 +258,12 @@ def _dataset_stem(path: str) -> str:
     return os.path.splitext(base)[0] or base
 
 
+@_config_errors
 def load_series(config: ExperimentConfig) -> PriceSeries:
-    """The configured price series, named by dataset_name or its source."""
+    """The configured price series, named by dataset_name or its source;
+    a bad data file or spec raises ConfigError."""
     if config.data_path is not None:
-        try:
-            series = load_csv_prices(config.data_path, config.value_column)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        series = load_csv_prices(config.data_path, config.value_column)
         series.name = config.dataset_name or _dataset_stem(config.data_path)
         return series
     if config.synth is None:
@@ -263,10 +280,7 @@ def load_series(config: ExperimentConfig) -> PriceSeries:
 
 def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
     if config.data_path is not None:
-        try:
-            tab = load_csv_tabular(config.data_path, config.label_column)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        tab = load_csv_tabular(config.data_path, config.label_column)
         return tab, config.dataset_name or _dataset_stem(config.data_path)
     if config.synth is None:
         raise ConfigError("a data path or a synth spec is required")
@@ -279,26 +293,30 @@ def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
     return tab, config.dataset_name or config.synth.replace(":", "-")
 
 
+@_config_errors
 def _regression_datasets(config: ExperimentConfig):
-    """Load, normalize, window, and split; independent of seed/activation."""
+    """Load, normalize, window, and split; independent of seed/activation.
+
+    norm_scope 'train' fits the min-max constants on the first
+    floor(split * N) values only, so later values may leave [0, 1].
+    """
     series = load_series(config)
     values = series.values
+    fitted = values
     if config.norm_scope == "train":
-        boundary = int(math.floor(config.split * values.size))
-        if boundary < 2:
+        fitted = values[:math.floor(config.split * values.size)]
+        if fitted.size < 2:
             raise ConfigError("series too short for train-scope statistics")
-        norm, vmin, vmax = minmax_normalize(values[:boundary])
-        full = (values - vmin) / (vmax - vmin)
-        dataset = make_windows(full, config.lookback, vmin, vmax,
-                               check_unit_range=False)
-    else:
-        norm, vmin, vmax = minmax_normalize(values)
-        dataset = make_windows(norm, config.lookback, vmin, vmax)
+    _, vmin, vmax = minmax_normalize(fitted)
+    dataset = make_windows((values - vmin) / (vmax - vmin), config.lookback,
+                           vmin, vmax,
+                           check_unit_range=config.norm_scope == "full")
     train_full, test_ds = chronological_split(dataset, config.split)
     train_ds, val_ds = chronological_split(train_full, 1.0 - config.val_fraction)
     return series.name, train_ds, val_ds, test_ds
 
 
+@_config_errors
 def _classification_datasets(config: ExperimentConfig):
     tab, name = _load_tabular(config)
     if tab.labels.min() == tab.labels.max():
@@ -565,8 +583,9 @@ def run_classification(config: ExperimentConfig) -> ExperimentReport:
                                        _classification_row))
 
 
-def emit_paths_figure(alphas, m_values, x_min: float, x_max: float,
-                      seed: int, out_dir: str, points: int = 401,
+def emit_paths_figure(alphas=(0.0, 0.5, 1.0), m_values=(200, 500, 1000, 1500),
+                      x_min: float = -5.0, x_max: float = 5.0, seed: int = 7,
+                      out_dir: str = ".", points: int = 401,
                       sampling: str = "collapsed") -> tuple[str, str]:
     """Sample activation input-output curves over an x grid.
 

@@ -173,19 +173,16 @@ class ForwardTrace:
 
 def _step(params: LstmParams, n: int, kind: ActivationKind,
           x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-          rng: RngStream | None, frozen: tuple | None,
-          noise_mode: str) -> StepTrace:
+          rng: RngStream | None, frozen: tuple | None) -> StepTrace:
     z = params.w @ x + params.u @ h_prev + params.b
     g = _sigmoid(z[:3 * n])
     f, i, o = g[:n], g[n:2 * n], g[2 * n:]
     zc_frozen = frozen[0] if frozen is not None else None
     c_frozen = frozen[1] if frozen is not None else None
     c_tilde, cand_cache = forward(kind, z[3 * n:], params.alpha, rng,
-                                  frozen_zbar=zc_frozen,
-                                  noise_mode=noise_mode)
+                                  frozen_zbar=zc_frozen)
     c = f * c_prev + i * c_tilde
-    a, cell_cache = forward(kind, c, params.alpha, rng,
-                            frozen_zbar=c_frozen, noise_mode=noise_mode)
+    a, cell_cache = forward(kind, c, params.alpha, rng, frozen_zbar=c_frozen)
     h = o * a
     return StepTrace(x=x, h_prev=h_prev, c_prev=c_prev, f=f, i=i, o=o,
                      c_tilde=c_tilde, cand_cache=cand_cache, c=c, a=a,
@@ -194,8 +191,7 @@ def _step(params: LstmParams, n: int, kind: ActivationKind,
 
 def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
                      rng: RngStream | None = None, head: str = "linear",
-                     noise: list | None = None, noise_mode: str = "sample",
-                     record: bool = True):
+                     noise: list | None = None, record: bool = True):
     """Run a full sequence from zero initial state through the head.
 
     Arguments:
@@ -240,8 +236,7 @@ def sequence_forward(params: LstmParams, inputs, kind: ActivationKind,
     trace = ForwardTrace(kind=kind, head=head)
     for t in range(t_len):
         frozen = noise[t] if noise is not None else None
-        step = _step(params, n, kind, inputs[t], h, c, rng, frozen,
-                     noise_mode)
+        step = _step(params, n, kind, inputs[t], h, c, rng, frozen)
         if record:
             trace.steps.append(step)
         h, c = step.h, step.c

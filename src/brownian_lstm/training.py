@@ -15,11 +15,11 @@ leaves it bit for bit unchanged under SGD and Adam alike.
 Stochastic activations draw fresh noise for every minibatch from a
 dedicated stream, so a (config seed, data) pair pins the entire run;
 validation uses its own stream and either keeps sampling
-(eval_noise='stochastic') or substitutes the branch mean
-(eval_noise='mean').  Early stopping watches validation loss with a
-patience counter gated by min_delta; epoch_of_convergence is the argmin
-of validation loss over the epochs actually executed, and the returned
-parameters are the snapshot from that epoch.
+(eval_noise='stochastic') or scores the ReLU network, the noise-mean
+network (eval_noise='mean').  Early stopping watches validation loss
+with a patience counter gated by min_delta; epoch_of_convergence is the
+argmin of validation loss over the epochs actually executed, and the
+returned parameters are the snapshot from that epoch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class TrainConfig:
     """Hyperparameters for train().
 
     eval_noise: 'stochastic' keeps sampling during validation and test
-    evaluation, 'mean' replaces the stochastic branch by its mean.
+    evaluation, 'mean' replaces the noise by its mean, 0 (see evaluate).
     alpha_guard aborts the run when |alpha| exceeds it.
     """
 
@@ -225,18 +225,21 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
     Forward-only: no per-step trace is recorded, so memory stays at one
     timestep's arrays per chunk.  Applies config.eval_noise; returns
     (loss, predictions) with predictions as a 1-D array aligned with
-    targets.
+    targets.  Under 'mean' a stochastic kind is scored as ReLU: its
+    noise has mean 0, and at zbar = 0 the negative branch
+    -(alpha * 0.0) + 0.0 is +0.0 for either sign of alpha, which is
+    ReLU's output bit for bit; no noise is drawn.
     """
     n_samples = inputs.shape[0]
     if n_samples == 0:
         raise ValueError("evaluation requires at least one sample")
-    noise_mode = "mean" if config.eval_noise == "mean" else "sample"
+    if config.eval_noise == "mean" and kind.stochastic:
+        kind = ActivationKind.relu()
     preds = np.empty(n_samples)
     for start in range(0, n_samples, EVAL_BATCH):
         idx = np.arange(start, min(start + EVAL_BATCH, n_samples))
         pred, _ = sequence_forward(params, _batch_tensor(inputs, idx), kind,
-                                   rng=rng, head=config.head,
-                                   noise_mode=noise_mode, record=False)
+                                   rng=rng, head=config.head, record=False)
         preds[idx] = pred[0]
     loss_fn = bce_loss if config.loss == "bce" else mse_loss
     loss, _ = loss_fn(preds, targets)

@@ -70,11 +70,16 @@ class TestBrownianForward:
             forward(ActivationKind.brownian(), np.array([-1.0]), alpha=0.5)
 
     def test_mean_mode_zeroes_the_negative_branch(self):
-        x = np.array([-4.0, -1.0, 2.0])
-        y, cache = forward(ActivationKind.brownian(), x, alpha=0.7,
-                           noise_mode="mean")
-        np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(cache.zbar, np.zeros(3))
+        # At the noise mean zbar = 0, which evaluate's eval_noise="mean"
+        # relies on, the branch is +0.0, ReLU's output, at either sign.
+        x = np.array([-4.0, -1.0, 0.0, 2.0])
+        relu_y, _ = forward(ActivationKind.relu(), x)
+        for alpha in (0.7, -0.7):
+            y, cache = forward(ActivationKind.brownian(), x, alpha=alpha,
+                               frozen_zbar=np.zeros(4))
+            np.testing.assert_array_equal(y, [0.0, 0.0, 0.0, 2.0])
+            assert y.tobytes() == relu_y.tobytes()
+            np.testing.assert_array_equal(cache.zbar, np.zeros(4))
 
     def test_frozen_noise_reproduces_forward(self):
         x = RngStream(5).uniform(-3.0, 3.0, size=(4, 6))
@@ -129,8 +134,7 @@ class TestBrownianForward:
 class TestBackwardInput:
     def _finite_difference(self, kind, x, alpha, zbar, h=1e-6):
         def f(xv):
-            y, _ = forward(kind, xv, alpha, frozen_zbar=zbar,
-                           noise_mode="mean" if zbar is None else "sample")
+            y, _ = forward(kind, xv, alpha, frozen_zbar=zbar)
             return y
 
         return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -1,23 +1,27 @@
 """Experiment harnesses, report files, figures, and the CLI."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import brownian_lstm
+from brownian_lstm.cli import cli_main
 from brownian_lstm.data import PriceSeries, TabularDataset
 from brownian_lstm.experiments import (CLASSIFICATION_HEADER,
                                        REGRESSION_HEADER, ConfigError,
                                        ExperimentConfig, ExperimentReport,
-                                       emit_paths_figure, parse_synth_spec,
-                                       run_classification, run_comparison,
-                                       run_sensitivity)
+                                       _regression_datasets,
+                                       emit_paths_figure, load_series,
+                                       parse_synth_spec, run_classification,
+                                       run_comparison, run_sensitivity)
 from brownian_lstm.training import TrainConfig, TrainingDiverged
 
 FAST_TRAIN = dict(max_epochs=2, batch_size=32)
@@ -233,6 +237,25 @@ class TestRunSensitivity:
         report = run_sensitivity(config)
         assert len(report.rows) == 1
         assert report.rows[0][1] == 1
+
+
+class TestNormScope:
+    def test_train_scope_fits_on_the_training_span(self, tmp_path):
+        # A steep trend, so the test span climbs past the training span.
+        config = _fast_regression_config(
+            tmp_path, synth="gbm:1,200,100,2.0,0.05", norm_scope="train",
+            activations=("relu",))
+        values = load_series(config).values
+        span = values[:math.floor(config.split * values.size)]
+        _, train_ds, val_ds, test_ds = _regression_datasets(config)
+        for ds in (train_ds, val_ds, test_ds):
+            assert (ds.norm_min, ds.norm_max) == (span.min(), span.max())
+        assert test_ds.targets.max() > 1.0
+        report = run_comparison(config)
+        assert report.column("Activation Function") == ["ReLU"]
+        full = _regression_datasets(replace(config, norm_scope="full"))[3]
+        assert full.norm_max == values.max() > span.max()
+        assert full.targets.max() <= 1.0
 
 
 class TestRunClassification:
@@ -529,6 +552,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fig" / "paths.csv").exists()
         assert (tmp_path / "fig" / "paths.svg").exists()
+
+    @pytest.mark.parametrize("spec", [
+        "gbm:1,0", "gbm:1,nan", "gbm:1,inf", "gbm:1,1500,-5", "sine:1,50",
+        "sine:1,61", "tab:1,3,2", "gbm:1,1500.7"])
+    def test_bad_data_spec_exits_2(self, spec, tmp_path, capsys):
+        code = cli_main(["compare", "--synth", spec, "--epochs", "1",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_describe_reads_raw_from_the_config_file(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text('{"synth": "gbm:7,100", "raw": 1}')
+        assert cli_main(["describe", "--config",
+                         str(tmp_path / "cfg.json")]) == 0
+        assert "scale=raw" in capsys.readouterr().out
 
     def test_config_file_merge_and_flag_override(self, tmp_path):
         cfg = {"synth": "sine:3,140", "lookback": 8, "hidden": 6,

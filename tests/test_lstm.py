@@ -12,6 +12,7 @@ from brownian_lstm.lstm import (PARAM_KEYS, LstmParams, backward_bptt,
                                 init_params, load_checkpoint,
                                 save_checkpoint, sequence_forward)
 from brownian_lstm.numerics import RngStream
+from brownian_lstm.training import TrainConfig, evaluate
 
 from helpers import loss_at, numeric_gradients, rel_error
 
@@ -183,22 +184,22 @@ class TestSequenceForward:
         replay, _ = sequence_forward(p, x, kind, noise=trace.noise_plan())
         assert pred.tobytes() == replay.tobytes()
 
-    @pytest.mark.parametrize("kind,noise_mode,head", [
+    @pytest.mark.parametrize("kind,noise,head", [
         (ActivationKind.brownian(m=1000), "sample", "linear"),
         (ActivationKind.brownian(m=1000), "mean", "linear"),
         (ActivationKind.relu(), "sample", "linear"),
         (ActivationKind.brownian(m=1000), "sample", "sigmoid"),
     ])
-    def test_unrecorded_forward_matches_recorded(self, kind, noise_mode,
-                                                 head):
+    def test_unrecorded_forward_matches_recorded(self, kind, noise, head):
         # 300 columns: the width evaluate splits into 256 + 44.
         p = init_params(2, 5, 1, seed=16, alpha=0.4)
         x = RngStream(17).normals((6, 2, 300))
         rng_rec, rng_free = RngStream(18, 3), RngStream(18, 3)
-        rec, rec_trace = sequence_forward(p, x, kind, rng=rng_rec, head=head,
-                                          noise_mode=noise_mode)
-        free, trace = sequence_forward(p, x, kind, rng=rng_free, head=head,
-                                       noise_mode=noise_mode, record=False)
+        # At the noise mean the network is the ReLU network.
+        net = ActivationKind.relu() if noise == "mean" else kind
+        rec, rec_trace = sequence_forward(p, x, net, rng=rng_rec, head=head)
+        free, trace = sequence_forward(p, x, net, rng=rng_free, head=head,
+                                       record=False)
         assert free.tobytes() == rec.tobytes()
         assert len(rec_trace.steps) == 6
         assert trace.steps == [] and trace.prediction is free
@@ -206,6 +207,17 @@ class TestSequenceForward:
                 == rng_rec.standard_normals(5).tobytes())
         with pytest.raises(ValueError, match="completed forward pass"):
             backward_bptt(p, trace, np.ones_like(free))
+        if noise == "mean":
+            rng_eval = RngStream(18, 3)
+            _, preds = evaluate(p, kind, x.transpose(2, 0, 1), np.zeros(300),
+                                TrainConfig(eval_noise="mean"), rng_eval)
+            relu = [sequence_forward(
+                p, np.ascontiguousarray(x[:, :, start:start + 256]), net,
+                record=False)[0][0] for start in (0, 256)]
+            assert preds.tobytes() == np.concatenate(relu).tobytes()
+            # No noise was drawn.
+            assert (rng_eval.standard_normals(5).tobytes()
+                    == RngStream(18, 3).standard_normals(5).tobytes())
 
 
 class TestBackwardBptt:

@@ -1,9 +1,18 @@
 """Package boundaries: public exports, private names, and file writes."""
 
+import argparse
 import ast
+import dataclasses
+import inspect
 import pathlib
+import re
+
+import pytest
 
 import brownian_lstm
+from brownian_lstm import cli
+from brownian_lstm.experiments import ExperimentConfig, emit_paths_figure
+from brownian_lstm.training import TrainConfig
 
 PACKAGE_DIR = pathlib.Path(brownian_lstm.__file__).parent
 
@@ -115,3 +124,50 @@ def test_only_experiments_starts_processes():
              if path.name != "experiments.py"
              for hit in _process_creation(path)]
     assert found == []
+
+
+_FLAG_TABLES = ((TrainConfig, cli._TRAIN_FLAGS),
+                (ExperimentConfig, cli._EXPERIMENT_FLAGS),
+                (emit_paths_figure, cli._PATHS_FLAGS))
+
+
+def _declared(target) -> dict:
+    """{field or parameter: declared default} of a dataclass or function."""
+    if dataclasses.is_dataclass(target):
+        return {f.name: f.default for f in dataclasses.fields(target)}
+    return {name: p.default
+            for name, p in inspect.signature(target).parameters.items()}
+
+
+def test_cli_flags_name_fields_of_their_targets():
+    # A misspelt field would fail only when someone passed that flag.
+    for target, table in _FLAG_TABLES:
+        fields = _declared(target)
+        assert [f for f, *_ in table.values() if f not in fields] == []
+    preset = {f for fields in cli._PRESETS.values() for f in fields}
+    assert preset <= set(_declared(ExperimentConfig))
+
+
+@pytest.mark.parametrize("command", ["describe", "train", "sensitivity",
+                                     "compare", "classify", "paths"])
+def test_cli_help_shows_the_declared_defaults(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    shown = {}
+    for action in sub.choices[command]._actions:
+        match = re.search(r"\(default (.*)\)$", action.help or "")
+        if match:
+            shown[action.dest] = match.group(1)
+    assert shown
+    for flag, text in shown.items():
+        target, table = next((t, table) for t, table in _FLAG_TABLES
+                             if flag in table and (command == "paths")
+                             == (t is emit_paths_figure))
+        default = _declared(target)[table[flag][0]]
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        assert text == str(default), flag
+    if command in ("train", "compare"):
+        assert {"lookback": "60", "lr": "0.001", "seed": "1"}.items() \
+            <= shown.items()
+        assert "m" not in shown

@@ -342,15 +342,16 @@ class TestEvaluate:
         p = init_params(1, 3, 1, seed=2)
         kind = ActivationKind.brownian(m=1000)
         config = TrainConfig(eval_noise=eval_noise)
-        noise_mode = "sample" if eval_noise == "stochastic" else "mean"
+        # Under "mean" evaluate scores the ReLU network and draws nothing,
+        # so rng_direct, never drawn from, must match rng_eval at the end.
+        net = kind if eval_noise == "stochastic" else ActivationKind.relu()
         rng_eval, rng_direct = RngStream(5, 23), RngStream(5, 23)
         loss, preds = evaluate(p, kind, inputs, targets, config, rng_eval)
         chunks = []
         for start in (0, 256):
             x = np.ascontiguousarray(
                 inputs[start:start + 256].transpose(1, 2, 0))
-            pred, trace = sequence_forward(p, x, kind, rng=rng_direct,
-                                           noise_mode=noise_mode)
+            pred, trace = sequence_forward(p, x, net, rng=rng_direct)
             assert len(trace.steps) == inputs.shape[1]
             chunks.append(pred[0])
         direct = np.concatenate(chunks)
