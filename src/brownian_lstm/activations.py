@@ -25,16 +25,18 @@ They are identical in law; explicit costs M times more draws.
 
 The remaining kinds are standard: relu, leaky_relu (fixed slope),
 prelu (learnable slope alpha), tanh, and gelu = x * Phi(x) with Phi the
-standard normal CDF.
+standard normal CDF.  GELU is the only kind that needs scipy (for
+erf); scipy.special is imported when a gelu kind is built, so a process
+that builds none starts without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .numerics import RngStream
 
@@ -55,9 +57,16 @@ class NonFiniteInput(ValueError):
     """forward() was given NaN or an infinity."""
 
 
+@functools.cache
+def _erf():
+    """scipy.special.erf, imported on first use."""
+    from scipy.special import erf
+    return erf
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     # Standard normal CDF.
-    return 0.5 * (1.0 + erf(x * _SQRT1_2))
+    return 0.5 * (1.0 + _erf()(x * _SQRT1_2))
 
 
 def _pdf(x: np.ndarray) -> np.ndarray:
@@ -97,6 +106,10 @@ class ActivationKind:
             raise ValueError(f"unknown sampling mode '{self.sampling}'")
         if self.input_grad not in ("pathwise", "zero"):
             raise ValueError(f"unknown input_grad mode '{self.input_grad}'")
+        if self.name == "gelu":
+            # Load erf now: harness cells are built before the worker
+            # pool forks, so workers inherit it instead of importing it.
+            _erf()
 
     @property
     def stochastic(self) -> bool:

@@ -49,6 +49,16 @@ def _list(item):
     return parse
 
 
+def _single(item):
+    """Parser of one value, given alone or as a one-item list."""
+    def parse(value):
+        items = _list(item)(value)
+        if len(items) != 1:
+            raise ValueError(f"expected one value, got {len(items)}")
+        return items[0]
+    return parse
+
+
 def _alphas(value):
     if isinstance(value, str) and value.strip().lower() == "learned":
         return "learned"
@@ -93,7 +103,7 @@ _PATHS_FLAGS = {
     "points": ("points", int, "grid size"),
     "sampling": ("sampling", str, "noise sampling mode",
                  ("explicit", "collapsed")),
-    "seed": ("seed", lambda value: _list(int)(value)[0], "noise seed"),
+    "seed": ("seed", _single(int), "noise seed"),
     "out": ("out_dir", str, "output directory"),
 }
 
@@ -278,9 +288,6 @@ def cli_main(argv=None) -> int:
     try:
         return ns.func(ns)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -123,6 +123,8 @@ class ExperimentConfig:
                 )
         elif not self.alphas:
             raise ConfigError("alpha list is empty")
+        elif not all(math.isfinite(a) for a in self.alphas):
+            raise ConfigError(f"alphas must be finite, got {self.alphas}")
 
 
 @dataclass
@@ -242,13 +244,14 @@ def parse_synth_spec(spec: str):
 
 
 def _config_errors(build):
-    """build, with a ValueError from loading, windowing or splitting
-    (a bad data file, spec or setting) re-raised as ConfigError."""
+    """build, with a ValueError or OSError from loading, windowing or
+    splitting (a bad or unreadable data file, spec or setting) re-raised
+    as ConfigError."""
     @functools.wraps(build)
     def checked(config: ExperimentConfig):
         try:
             return build(config)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from None
     return checked
 
@@ -595,11 +598,18 @@ def emit_paths_figure(alphas=(0.0, 0.5, 1.0), m_values=(200, 500, 1000, 1500),
     where the stochastic branch lives.
     """
     alphas = [float(a) for a in alphas]
-    m_values = [int(m) for m in m_values]
     if not alphas or not m_values:
         raise ConfigError("paths figure needs at least one alpha and one M")
-    if not (x_min < x_max):
-        raise ConfigError(f"empty x range [{x_min}, {x_max}]")
+    if not all(math.isfinite(a) for a in alphas):
+        raise ConfigError(f"alphas must be finite, got {alphas}")
+    try:
+        kinds = [ActivationKind.brownian(m=int(m), sampling=sampling)
+                 for m in m_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not (-math.inf < x_min < x_max < math.inf):
+        raise ConfigError(f"x range [{x_min}, {x_max}] must be finite and "
+                          f"non-empty")
     if x_min >= 0.0:
         raise ConfigError("x range must include negative inputs")
     if points < 2:
@@ -610,12 +620,11 @@ def emit_paths_figure(alphas=(0.0, 0.5, 1.0), m_values=(200, 500, 1000, 1500),
     lines = ["alpha,M,x,f\n"]
     index = 0
     for alpha in alphas:
-        for m in m_values:
-            kind = ActivationKind.brownian(m=m, sampling=sampling)
+        for kind in kinds:
             y, _ = forward(kind, grid, alpha, rng=base.substream(index))
             index += 1
-            curves.append((f"alpha={alpha:g}, M={m}", grid, y))
-            lines.extend(f"{alpha!r},{m},{float(x)!r},{float(v)!r}\n"
+            curves.append((f"alpha={alpha:g}, M={kind.m}", grid, y))
+            lines.extend(f"{alpha!r},{kind.m},{float(x)!r},{float(v)!r}\n"
                          for x, v in zip(grid, y))
     csv_path = os.path.join(out_dir, "paths.csv")
     svg_path = os.path.join(out_dir, "paths.svg")

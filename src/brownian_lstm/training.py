@@ -69,8 +69,9 @@ class TrainConfig:
     alpha_guard: float = 1e3
 
     def __post_init__(self):
-        if not (self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be > 0 and finite, got "
+                             f"{self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
@@ -89,8 +90,9 @@ class TrainConfig:
                              f"off), got {self.clip_norm}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.min_delta < 0.0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
+        if not (0.0 <= self.min_delta < math.inf):
+            raise ValueError(f"min_delta must be >= 0 and finite, got "
+                             f"{self.min_delta}")
         if self.loss not in ("mse", "bce"):
             raise ValueError(f"unknown loss '{self.loss}'")
         if self.eval_noise not in ("stochastic", "mean"):

@@ -1,11 +1,27 @@
-"""Shared test utilities: finite differences and error measures."""
+"""Shared test utilities: finite differences, error measures, and the
+environment of a child Python process."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+import brownian_lstm
 from brownian_lstm.lstm import sequence_forward
 from brownian_lstm.training import bce_loss, mse_loss
+
+
+def child_env() -> dict:
+    """os.environ with the directory holding the package under test
+    (``src`` in a checkout) first on PYTHONPATH, so that neither a
+    relative PYTHONPATH (resolved against the child's cwd) nor an
+    installed copy can stand in for it."""
+    parent = os.path.dirname(os.path.dirname(
+        os.path.abspath(brownian_lstm.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (parent, inherited) if p))
 
 
 def rel_error(a, b, floor: float = 1e-8) -> float:

@@ -23,6 +23,7 @@ from brownian_lstm.experiments import (CLASSIFICATION_HEADER,
                                        parse_synth_spec, run_classification,
                                        run_comparison, run_sensitivity)
 from brownian_lstm.training import TrainConfig, TrainingDiverged
+from helpers import child_env
 
 FAST_TRAIN = dict(max_epochs=2, batch_size=32)
 
@@ -98,6 +99,11 @@ class TestExperimentConfig:
     def test_rejects_bad_alpha_string(self):
         with pytest.raises(ConfigError, match="alphas"):
             ExperimentConfig(synth="gbm:1,10", alphas="auto")
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="^alphas must be finite"):
+            ExperimentConfig(synth="gbm:1,10", alphas=(0.5, alpha))
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -343,7 +349,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("runner,config", [
         (run_comparison,
          lambda path: _fast_regression_config(
-             path, activations=("brownian", "relu"), seeds=(1, 2))),
+             path, activations=("brownian", "relu", "gelu"), seeds=(1, 2))),
         (run_classification,
          lambda path: _fast_classification_config(
              path, activations=("brownian",), alphas=(0.1, 0.9))),
@@ -458,21 +464,10 @@ class TestPathsFigure:
                               out_dir=str(tmp_path))
 
 
-# The directory that holds the imported package (``src`` in a checkout).
-_PACKAGE_PARENT = os.path.dirname(
-    os.path.dirname(os.path.abspath(brownian_lstm.__file__)))
-
-
 def _run_cli(args, cwd):
-    # Put the package under test first on the child's path, so a relative
-    # PYTHONPATH (resolved against ``cwd``) or an installed copy cannot
-    # stand in for it.
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (_PACKAGE_PARENT, inherited) if p))
     return subprocess.run(
         [sys.executable, "-m", "brownian_lstm", *args],
-        capture_output=True, text=True, cwd=cwd, env=env)
+        capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 class TestCli:
@@ -498,6 +493,13 @@ class TestCli:
         proc = _run_cli(["describe", "--data", "missing.csv"], str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_unreadable_data_path_exits_2(self, tmp_path):
+        (tmp_path / "prices").mkdir()
+        proc = _run_cli(["describe", "--data", "prices"], str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_malformed_csv_row_exits_2(self, tmp_path):
         (tmp_path / "p.csv").write_text(
@@ -562,6 +564,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["--lr", "inf"], "learning_rate must be > 0 and finite"),
+        (["--alpha", "nan"], "alphas must be finite"),
+        (["--alpha", "0.5,inf"], "alphas must be finite"),
+        (["--activations", "prelu", "--alpha", "nan"],
+         "alphas must be finite"),
+    ])
+    def test_non_finite_setting_exits_2(self, args, message, tmp_path,
+                                        capsys):
+        code = cli_main(["compare", "--synth", "sine:1,120", "--lookback",
+                         "5", "--hidden", "2", "--epochs", "1",
+                         "--out", str(tmp_path), *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["--m", "0"], "sample count M must be >= 1, got 0"),
+        (["--seed", "7,8"], "--seed: expected one value, got 2"),
+        (["--alpha", "nan"], "alphas must be finite"),
+        (["--xmin=-inf"], "x range [-inf, 5.0] must be finite"),
+    ])
+    def test_bad_paths_setting_exits_2(self, args, message, tmp_path,
+                                       capsys):
+        code = cli_main(["paths", "--points", "5", "--out", str(tmp_path),
+                         *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "paths.csv").exists()
 
     def test_describe_reads_raw_from_the_config_file(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text('{"synth": "gbm:7,100", "raw": 1}')

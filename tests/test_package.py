@@ -6,6 +6,8 @@ import dataclasses
 import inspect
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ import brownian_lstm
 from brownian_lstm import cli
 from brownian_lstm.experiments import ExperimentConfig, emit_paths_figure
 from brownian_lstm.training import TrainConfig
+from helpers import child_env
 
 PACKAGE_DIR = pathlib.Path(brownian_lstm.__file__).parent
 
@@ -171,3 +174,22 @@ def test_cli_help_shows_the_declared_defaults(command):
         assert {"lookback": "60", "lr": "0.001", "seed": "1"}.items() \
             <= shown.items()
         assert "m" not in shown
+
+
+def _imported_modules(code: str) -> set:
+    """Names in sys.modules after running code in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    return set(done.stdout.split())
+
+
+def test_scipy_is_imported_only_when_a_gelu_kind_is_built():
+    # scipy.special takes longer to import than the rest of the package,
+    # and only GELU's erf needs it.
+    assert "scipy" not in _imported_modules(
+        "import brownian_lstm, brownian_lstm.cli\n"
+        "brownian_lstm.ActivationKind.brownian()")
+    assert "scipy.special" in _imported_modules(
+        "import brownian_lstm\nbrownian_lstm.ActivationKind.gelu()")

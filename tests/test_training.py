@@ -138,7 +138,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
         ("adam_eps", -1e-8), ("clip_norm", float("nan")),
-        ("clip_norm", -1.0),
+        ("clip_norm", -1.0), ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")), ("min_delta", float("nan")),
+        ("min_delta", float("inf")),
     ])
     def test_rejects_bad_optimizer_settings(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
