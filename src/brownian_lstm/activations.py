@@ -23,7 +23,7 @@ Sampling modes: 'collapsed' draws zbar ~ N(0, 1/M) directly, one draw
 per negative element; 'explicit' averages M unit normals per element.
 They are identical in law; explicit costs M times more draws.
 
-The remaining kinds are standard: relu, leaky_relu (fixed slope),
+The remaining kinds are standard: relu, leaky_relu (slope LEAKY_SLOPE),
 prelu (learnable slope alpha), tanh, and gelu = x * Phi(x) with Phi the
 standard normal CDF.  GELU is the only kind that needs scipy (for
 erf); scipy.special is imported when a gelu kind is built, so a process
@@ -49,6 +49,10 @@ _DISPLAY = {
     "gelu": "GELU",
     "brownian": "BrownianReLU",
 }
+# LeakyReLU's negative-branch slope.
+LEAKY_SLOPE = 0.01
+# Floor on |x| inside the sqrt of BrownianReLU's pathwise derivative.
+EPSILON = 1e-6
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -79,33 +83,22 @@ class ActivationKind:
     """Immutable description of an activation function.
 
     name        one of KIND_NAMES
-    slope       fixed negative-branch slope (leaky_relu only)
     m           Monte Carlo sample count M >= 1 (brownian only)
-    epsilon     floor inside the pathwise derivative's sqrt (brownian)
     sampling    'collapsed' or 'explicit' (brownian)
-    input_grad  'pathwise' or 'zero': negative-branch dL/dx treatment
     """
 
     name: str
-    slope: float = 0.01
     m: int = 1000
-    epsilon: float = 1e-6
     sampling: str = "collapsed"
-    input_grad: str = "pathwise"
 
     def __post_init__(self):
         if self.name not in KIND_NAMES:
-            raise ValueError(f"unknown activation '{self.name}'")
-        if not math.isfinite(self.slope):
-            raise ValueError(f"slope must be finite, got {self.slope}")
+            raise ValueError(f"unknown activation '{self.name}'; expected "
+                             f"one of {KIND_NAMES}")
         if self.m < 1:
             raise ValueError(f"sample count M must be >= 1, got {self.m}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.sampling not in ("collapsed", "explicit"):
             raise ValueError(f"unknown sampling mode '{self.sampling}'")
-        if self.input_grad not in ("pathwise", "zero"):
-            raise ValueError(f"unknown input_grad mode '{self.input_grad}'")
         if self.name == "gelu":
             # Load erf now: harness cells are built before the worker
             # pool forks, so workers inherit it instead of importing it.
@@ -129,8 +122,8 @@ class ActivationKind:
         return cls("relu")
 
     @classmethod
-    def leaky_relu(cls, slope: float = 0.01) -> "ActivationKind":
-        return cls("leaky_relu", slope=slope)
+    def leaky_relu(cls) -> "ActivationKind":
+        return cls("leaky_relu")
 
     @classmethod
     def prelu(cls) -> "ActivationKind":
@@ -145,21 +138,9 @@ class ActivationKind:
         return cls("gelu")
 
     @classmethod
-    def brownian(cls, m: int = 1000, epsilon: float = 1e-6,
-                 sampling: str = "collapsed",
-                 input_grad: str = "pathwise") -> "ActivationKind":
-        return cls("brownian", m=m, epsilon=epsilon, sampling=sampling,
-                   input_grad=input_grad)
-
-    @classmethod
-    def from_name(cls, name: str, **overrides) -> "ActivationKind":
-        """Build a kind from its lowercase name plus keyword overrides."""
-        name = name.strip().lower()
-        if name not in KIND_NAMES:
-            raise ValueError(
-                f"unknown activation '{name}'; expected one of {KIND_NAMES}"
-            )
-        return cls(name, **overrides)
+    def brownian(cls, m: int = 1000,
+                 sampling: str = "collapsed") -> "ActivationKind":
+        return cls("brownian", m=m, sampling=sampling)
 
 
 @dataclass
@@ -227,7 +208,7 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     if kind.name == "relu":
         y = np.where(x > 0.0, x, 0.0)
     elif kind.name == "leaky_relu":
-        y = np.where(x > 0.0, x, kind.slope * x)
+        y = np.where(x > 0.0, x, LEAKY_SLOPE * x)
     elif kind.name == "prelu":
         y = np.where(x > 0.0, x, alpha * x)
     elif kind.name == "tanh":
@@ -262,15 +243,15 @@ def backward_input(kind: ActivationKind, cache: ActivationCache,
     """dL/dx given dL/dy, differentiated at the cached noise.
 
     For brownian the negative-branch derivative is the pathwise slope
-    alpha * zbar / (2 sqrt(max(|x|, epsilon))) in 'pathwise' mode and 0
-    in 'zero' mode; the derivative at exactly x = 0 is taken as 0.
+    alpha * zbar / (2 sqrt(max(|x|, EPSILON))); the derivative at
+    exactly x = 0 is taken as 0.
     """
     upstream = _check_cache(kind, cache, upstream)
     x = cache.inputs
     if kind.name == "relu":
         g = np.where(x > 0.0, 1.0, 0.0)
     elif kind.name == "leaky_relu":
-        g = np.where(x > 0.0, 1.0, kind.slope)
+        g = np.where(x > 0.0, 1.0, LEAKY_SLOPE)
     elif kind.name == "prelu":
         g = np.where(x > 0.0, 1.0, cache.alpha)
     elif kind.name == "tanh":
@@ -279,12 +260,9 @@ def backward_input(kind: ActivationKind, cache: ActivationCache,
     elif kind.name == "gelu":
         g = _phi(x) + x * _pdf(x)
     else:
-        if kind.input_grad == "zero":
-            g = np.where(x > 0.0, 1.0, 0.0)
-        else:
-            denom = 2.0 * np.sqrt(np.maximum(np.abs(x), kind.epsilon))
-            g = np.where(x > 0.0, 1.0, cache.alpha * cache.zbar / denom)
-            g = np.where(x == 0.0, 0.0, g)
+        denom = 2.0 * np.sqrt(np.maximum(np.abs(x), EPSILON))
+        g = np.where(x > 0.0, 1.0, cache.alpha * cache.zbar / denom)
+        g = np.where(x == 0.0, 0.0, g)
     return upstream * g
 
 

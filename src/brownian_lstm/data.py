@@ -377,11 +377,11 @@ def load_csv_tabular(path: str, label_column: str = "label") -> TabularDataset:
                           feature_names=feature_names, n_dropped=n_dropped)
 
 
-def synth_tabular(seed: int, n: int, d: int, positive_rate: float = 0.25,
-                  separation: float = 1.0) -> TabularDataset:
+def synth_tabular(seed: int, n: int, d: int,
+                  positive_rate: float = 0.25) -> TabularDataset:
     """Synthetic imbalanced binary dataset with Gaussian class clouds.
 
-    Class means sit at +/- separation/2 along the all-ones direction, so
+    Class means sit at +/- 1/2 along the unit all-ones direction, so
     the task is learnable but noisy; labels hit positive_rate exactly
     (up to rounding) and are shuffled deterministically.  Features are
     z-scored like the CSV path.
@@ -399,7 +399,7 @@ def synth_tabular(seed: int, n: int, d: int, positive_rate: float = 0.25,
     labels[:n_pos] = 1.0
     labels = labels[stream.permutation(n)]
     direction = np.ones(d) / math.sqrt(d)
-    shift = 0.5 * separation * direction
+    shift = 0.5 * direction
     noise = stream.normals((n, d))
     features = noise + np.where(labels[:, None] == 1.0, shift, -shift)
     names = [f"x{i}" for i in range(d)]

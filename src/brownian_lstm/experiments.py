@@ -23,11 +23,9 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -78,7 +76,6 @@ class ExperimentConfig:
     synth: str | None = None
     value_column: str = "Close"
     label_column: str = "label"
-    dataset_name: str | None = None
     activations: tuple[str, ...] = ("brownian", "relu", "leaky_relu",
                                     "prelu", "tanh", "gelu")
     m_values: tuple[int, ...] = (500, 1000, 1500)
@@ -138,7 +135,6 @@ class ExperimentReport:
     kind: str
     header: tuple[str, ...]
     rows: list[list]
-    format_version: int = FORMAT_VERSION
 
     def to_csv(self, path: str) -> None:
         buf = io.StringIO()
@@ -150,7 +146,7 @@ class ExperimentReport:
 
     def to_json(self, path: str) -> None:
         doc = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "header": list(self.header),
             "rows": self.rows,
@@ -263,11 +259,11 @@ def _dataset_stem(path: str) -> str:
 
 @_config_errors
 def load_series(config: ExperimentConfig) -> PriceSeries:
-    """The configured price series, named by dataset_name or its source;
-    a bad data file or spec raises ConfigError."""
+    """The configured price series, named by its source; a bad data file
+    or spec raises ConfigError."""
     if config.data_path is not None:
         series = load_csv_prices(config.data_path, config.value_column)
-        series.name = config.dataset_name or _dataset_stem(config.data_path)
+        series.name = _dataset_stem(config.data_path)
         return series
     if config.synth is None:
         raise ConfigError("a data path or a synth spec is required")
@@ -276,15 +272,13 @@ def load_series(config: ExperimentConfig) -> PriceSeries:
         raise ConfigError(
             f"synth spec '{config.synth}' does not produce a price series"
         )
-    if config.dataset_name:
-        series.name = config.dataset_name
     return series
 
 
 def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
     if config.data_path is not None:
         tab = load_csv_tabular(config.data_path, config.label_column)
-        return tab, config.dataset_name or _dataset_stem(config.data_path)
+        return tab, _dataset_stem(config.data_path)
     if config.synth is None:
         raise ConfigError("a data path or a synth spec is required")
     tab = parse_synth_spec(config.synth)
@@ -293,7 +287,7 @@ def _load_tabular(config: ExperimentConfig) -> tuple[TabularDataset, str]:
             f"synth spec '{config.synth}' does not produce a tabular "
             f"dataset"
         )
-    return tab, config.dataset_name or config.synth.replace(":", "-")
+    return tab, config.synth.replace(":", "-")
 
 
 @_config_errors
@@ -339,14 +333,21 @@ def _kind_for(config: ExperimentConfig, name: str,
             return ActivationKind.brownian(
                 m=m if m is not None else config.m_values[0],
                 sampling=config.sampling)
-        return ActivationKind.from_name(name)
+        return ActivationKind(name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _fixed_alpha(config: ExperimentConfig) -> float | None:
+def _fixed_alpha(config: ExperimentConfig,
+                 kinds: list[ActivationKind]) -> float | None:
+    """The fixed alpha for these cells, or None when alpha is learned;
+    ConfigError when none of them is brownian, the only kind it fixes."""
     if isinstance(config.alphas, str):
         return None
+    if not any(kind.stochastic for kind in kinds):
+        raise ConfigError(f"alphas {config.alphas} apply only to the "
+                          f"brownian activation, which this run does not "
+                          f"train")
     return float(config.alphas[0])
 
 
@@ -395,7 +396,7 @@ def fit_forecaster(config: ExperimentConfig) -> Forecast:
     kind = _kind_for(config, config.activations[0])
     seed = config.seeds[0]
     params, history, _, test_mse, test_preds = _fit_cell(
-        config, kind, seed, datasets, "mse", _fixed_alpha(config))
+        config, kind, seed, datasets, "mse", _fixed_alpha(config, [kind]))
     return Forecast(dataset=datasets[0], kind=kind, seed=seed,
                     params=params, history=history, test_mse=test_mse,
                     r2_test=r2(test_preds, datasets[3].targets))
@@ -485,6 +486,9 @@ def _job_map(jobs: int):
     if workers < 2 or _functions_replaced():
         yield map
         return
+    # Imported here: a run that never starts a pool never loads them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
@@ -537,9 +541,9 @@ def run_sensitivity(config: ExperimentConfig) -> ExperimentReport:
     if not config.m_values:
         raise ConfigError("sensitivity requires a non-empty M list")
     datasets = _regression_datasets(config)
-    fixed = _fixed_alpha(config)
-    cells = [(f"M={m}", _kind_for(config, "brownian", m=m), fixed)
-             for m in config.m_values]
+    kinds = [_kind_for(config, "brownian", m=m) for m in config.m_values]
+    fixed = _fixed_alpha(config, kinds)
+    cells = [(f"M={kind.m}", kind, fixed) for kind in kinds]
     return ExperimentReport("regression", REGRESSION_HEADER,
                             _run_cells(config, datasets, cells,
                                        _regression_row))
@@ -554,8 +558,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
     if not config.activations:
         raise ConfigError("comparison requires at least one activation")
     datasets = _regression_datasets(config)
-    fixed = _fixed_alpha(config)
     kinds = [_kind_for(config, name) for name in config.activations]
+    fixed = _fixed_alpha(config, kinds)
     cells = [(kind.display_name, kind, fixed) for kind in kinds]
     return ExperimentReport("regression", REGRESSION_HEADER,
                             _run_cells(config, datasets, cells,

@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import (ActivationCache, ActivationKind, backward_alpha,
-                          backward_input, forward)
+from .activations import (EPSILON, LEAKY_SLOPE, ActivationCache,
+                          ActivationKind, backward_alpha, backward_input,
+                          forward)
 from .numerics import RngStream, write_text
 
 # Row blocks of the stacked gate matrices: the three sigmoid gates,
@@ -332,11 +333,11 @@ def save_checkpoint(path: str, params: LstmParams,
         },
         "activation": {
             "name": kind.name,
-            "slope": kind.slope,
+            "slope": LEAKY_SLOPE,
             "m": kind.m,
-            "epsilon": kind.epsilon,
+            "epsilon": EPSILON,
             "sampling": kind.sampling,
-            "input_grad": kind.input_grad,
+            "input_grad": "pathwise",
         },
         "alpha": params.alpha,
         "arrays": arrays,
@@ -352,10 +353,13 @@ def _section(doc: dict, key: str) -> dict:
 
 
 _NUMBER = (int, float)
-# JSON type of each activation field, in ActivationKind's order.
+# JSON type of each activation field, in file order.
 _ACTIVATION_FIELDS = {"name": (str,), "slope": _NUMBER, "m": (int,),
                       "epsilon": _NUMBER, "sampling": (str,),
                       "input_grad": (str,)}
+# Activation fields that every v1 file holds at these constant values.
+_FIXED_FIELDS = {"slope": LEAKY_SLOPE, "epsilon": EPSILON,
+                 "input_grad": "pathwise"}
 
 
 def _typed(section: dict, key: str, types: tuple, label: str):
@@ -375,8 +379,9 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
 
     Every field is checked for its JSON type and every array against the
     stored dims; a missing key, a section that is not a JSON object, a
-    wrongly typed field, a wrong shape or a non-finite number raises
-    ValueError naming the key.
+    wrongly typed field, a wrong shape, a non-finite number or a fixed
+    activation field (slope, epsilon, input_grad) holding any value but
+    the one save_checkpoint writes raises ValueError naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -389,9 +394,14 @@ def load_checkpoint(path: str) -> tuple[LstmParams, ActivationKind]:
         )
     try:
         act = _section(doc, "activation")
-        kind = ActivationKind(**{
-            key: _typed(act, key, types, f"activation.{key}")
-            for key, types in _ACTIVATION_FIELDS.items()})
+        fields = {key: _typed(act, key, types, f"activation.{key}")
+                  for key, types in _ACTIVATION_FIELDS.items()}
+        for key, expected in _FIXED_FIELDS.items():
+            value = fields.pop(key)
+            if value != expected:
+                raise ValueError(f"checkpoint field 'activation.{key}' "
+                                 f"holds {value!r}, expected {expected!r}")
+        kind = ActivationKind(**fields)
         dims = _section(doc, "dims")
         d, n, out = (_typed(dims, key, (int,), f"dims.{key}")
                      for key in ("input", "hidden", "output"))

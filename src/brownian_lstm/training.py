@@ -37,6 +37,10 @@ from .numerics import RngStream, write_text
 _NOISE_STREAM = 11
 _EVAL_STREAM = 23
 EVAL_BATCH = 256
+# Adam's moment decay rates and denominator floor (Kingma & Ba's values).
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,9 +60,6 @@ class TrainConfig:
     max_epochs: int = 50
     batch_size: int = 32
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 5
     min_delta: float = 1e-5
     seed: int = 0
@@ -78,16 +79,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(
-                    f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (0.0 < self.adam_eps < math.inf):
-            raise ValueError(
-                f"adam_eps must be > 0 and finite, got {self.adam_eps}")
-        if not (self.clip_norm >= 0.0):
-            raise ValueError(f"clip_norm must be >= 0 (0 turns clipping "
-                             f"off), got {self.clip_norm}")
+        if not (0.0 <= self.clip_norm < math.inf):
+            raise ValueError(f"clip_norm must be >= 0 and finite (0 turns "
+                             f"clipping off), got {self.clip_norm}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not (0.0 <= self.min_delta < math.inf):
@@ -97,8 +91,9 @@ class TrainConfig:
             raise ValueError(f"unknown loss '{self.loss}'")
         if self.eval_noise not in ("stochastic", "mean"):
             raise ValueError(f"unknown eval_noise mode '{self.eval_noise}'")
-        if not (self.alpha_guard > 0.0):
-            raise ValueError(f"alpha_guard must be > 0, got {self.alpha_guard}")
+        if not (0.0 < self.alpha_guard < math.inf):
+            raise ValueError(f"alpha_guard must be > 0 and finite, got "
+                             f"{self.alpha_guard}")
 
     @property
     def head(self) -> str:
@@ -202,16 +197,15 @@ def optimizer_step(params: LstmParams, grads: dict, state: OptimizerState,
         return
     state.step += 1
     t = state.step
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for key, weights in params.arrays().items():
         g = grads[key]
-        state.m[key] = b1 * state.m.get(key, 0.0) + (1.0 - b1) * g
-        state.v[key] = b2 * state.v.get(key, 0.0) + (1.0 - b2) * (g * g)
+        state.m[key] = BETA1 * state.m.get(key, 0.0) + (1.0 - BETA1) * g
+        state.v[key] = BETA2 * state.v.get(key, 0.0) + (1.0 - BETA2) * (g * g)
         m_hat = state.m[key] / bias1
         v_hat = state.v[key] / bias2
-        weights -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        weights -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _batch_tensor(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:

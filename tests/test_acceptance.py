@@ -175,7 +175,7 @@ def test_04_gradient_exactness():
             grads = backward_bptt(params, trace, dpred.reshape(1, -1))
             fd = numeric_gradients(params, kind, x, target, "linear", noise)
             tol = 1e-4 if kind.stochastic else 1e-6
-            for key in PARAM_KEYS + ("alpha",):
+            for key in PARAM_KEYS:
                 err = rel_error(grads[key], fd[key])
                 assert err < tol, (kind.name, key, seed, err)
     elapsed = time.perf_counter() - start

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from brownian_lstm.activations import (ActivationCache, ActivationKind,
-                                       backward_alpha, backward_input,
-                                       forward)
+from brownian_lstm.activations import (EPSILON, ActivationCache,
+                                       ActivationKind, backward_alpha,
+                                       backward_input, forward)
 from brownian_lstm.numerics import RngStream
 
 from helpers import rel_error
@@ -26,7 +26,7 @@ class TestDeterministicForward:
         np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
 
     def test_leaky_relu_slope(self):
-        y, _ = forward(ActivationKind.leaky_relu(0.01), np.array([-2.0, 3.0]))
+        y, _ = forward(ActivationKind.leaky_relu(), np.array([-2.0, 3.0]))
         np.testing.assert_allclose(y, [-0.02, 3.0], rtol=0, atol=0)
 
     def test_prelu_uses_alpha(self):
@@ -171,19 +171,12 @@ class TestBackwardInput:
         grad = backward_input(kind, cache, np.ones(2))
         assert grad[0] == 0.0
 
-    def test_brownian_zero_mode_kills_negative_branch(self):
-        kind = ActivationKind.brownian(m=5, input_grad="zero")
-        x = np.array([-2.0, 3.0])
-        y, cache = forward(kind, x, alpha=0.5, rng=RngStream(2))
-        grad = backward_input(kind, cache, np.array([10.0, 10.0]))
-        np.testing.assert_array_equal(grad, [0.0, 10.0])
-
     def test_epsilon_floors_the_denominator(self):
-        kind = ActivationKind.brownian(m=5, epsilon=1e-2)
+        kind = ActivationKind.brownian(m=5)
         x = np.array([-1e-9])
         y, cache = forward(kind, x, alpha=1.0, rng=RngStream(3))
         grad = backward_input(kind, cache, np.ones(1))
-        expected = cache.zbar[0] / (2.0 * np.sqrt(1e-2))
+        expected = cache.zbar[0] / (2.0 * np.sqrt(EPSILON))
         assert grad[0] == pytest.approx(expected, rel=1e-12)
 
     def test_cache_kind_mismatch_rejected(self):
@@ -234,15 +227,11 @@ class TestBackwardAlpha:
 class TestKindValidation:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown activation"):
-            ActivationKind.from_name("swish")
+            ActivationKind("swish")
 
     def test_bad_m(self):
         with pytest.raises(ValueError, match="M"):
             ActivationKind.brownian(m=0)
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            ActivationKind.brownian(epsilon=0.0)
 
     def test_bad_sampling(self):
         with pytest.raises(ValueError, match="sampling"):

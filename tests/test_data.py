@@ -346,7 +346,7 @@ class TestSynthTabular:
                                    rtol=1e-10)
 
     def test_classes_are_separated(self):
-        ds = synth_tabular(11, 2000, 4, separation=1.0)
+        ds = synth_tabular(11, 2000, 4)
         pos = ds.features[ds.labels == 1.0].mean(axis=0)
         neg = ds.features[ds.labels == 0.0].mean(axis=0)
         assert np.all(pos > neg)

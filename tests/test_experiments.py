@@ -1,5 +1,6 @@
 """Experiment harnesses, report files, figures, and the CLI."""
 
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -338,7 +339,7 @@ def pool_on(monkeypatch):
     counts of the pools started."""
     workers = []
     monkeypatch.setattr(_CountingPool, "workers", workers)
-    monkeypatch.setattr(brownian_lstm.experiments, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _CountingPool)
     _usable_cpus(monkeypatch, 2)
     return workers
@@ -580,6 +581,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,activations", [
+        ("compare", "prelu"), ("compare", "relu,tanh"), ("train", "tanh")])
+    def test_fixed_alpha_without_brownian_exits_2(self, command, activations,
+                                                  tmp_path, capsys):
+        # A fixed alpha applies only to brownian cells.
+        code = cli_main([command, "--synth", "sine:1,120", "--lookback", "5",
+                         "--hidden", "2", "--epochs", "1", "--activations",
+                         activations, "--alpha", "0.5",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: alphas (0.5,) apply only to the brownian "
+                       "activation, which this run does not train\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_classify_presets_alphas_for_baselines_too(self, tmp_path):
+        # classify's preset alpha list must not reject a run without
+        # brownian.
+        code = cli_main(["classify", "--synth", "tab:1,60,3", "--hidden",
+                         "2", "--epochs", "1", "--activations", "relu",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "classification.csv").exists()
 
     @pytest.mark.parametrize("args,message", [
         (["--m", "0"], "sample count M must be >= 1, got 0"),

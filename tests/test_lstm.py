@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestBackwardBptt:
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         p = init_params(3, 5, 2, seed=33, alpha=0.371)
-        kind = ActivationKind.brownian(m=750, epsilon=1e-5)
+        kind = ActivationKind.brownian(m=750)
         path = tmp_path / "model.json"
         save_checkpoint(str(path), p, kind)
         loaded, loaded_kind = load_checkpoint(str(path))
@@ -410,6 +411,22 @@ class TestCheckpoint:
         (doc if section is None else doc[section])[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", 1e-05), ("input_grad", "zero"), ("slope", 0.2),
+    ])
+    def test_fixed_activation_fields_rejected(self, tmp_path, key, value):
+        # v1 files hold these fields at the constants the code uses.
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
+                        ActivationKind.brownian(m=500))
+        doc = json.loads(path.read_text())
+        doc["activation"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=rf"field 'activation.{key}' holds "
+                                 rf"{re.escape(repr(value))}, expected"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("section,message", [

@@ -193,3 +193,10 @@ def test_scipy_is_imported_only_when_a_gelu_kind_is_built():
         "brownian_lstm.ActivationKind.brownian()")
     assert "scipy.special" in _imported_modules(
         "import brownian_lstm\nbrownian_lstm.ActivationKind.gelu()")
+
+
+def test_pool_modules_are_imported_only_when_a_pool_starts():
+    # Single-cell runs never start a pool, so they should not pay for
+    # importing one.
+    loaded = _imported_modules("import brownian_lstm, brownian_lstm.cli")
+    assert {"multiprocessing", "concurrent.futures"} & loaded == set()

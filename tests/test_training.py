@@ -136,9 +136,9 @@ class TestOptimizerStep:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
-        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
-        ("adam_eps", -1e-8), ("clip_norm", float("nan")),
-        ("clip_norm", -1.0), ("learning_rate", float("inf")),
+        ("clip_norm", float("nan")), ("clip_norm", -1.0),
+        ("clip_norm", float("inf")), ("alpha_guard", float("inf")),
+        ("learning_rate", float("inf")),
         ("learning_rate", float("nan")), ("min_delta", float("nan")),
         ("min_delta", float("inf")),
     ])
