@@ -38,7 +38,7 @@ from .data import (PriceSeries, SequenceDataset, TabularDataset,
                    synth_sine_trend, synth_tabular)
 from .lstm import LstmParams, init_params
 from .metrics import confusion_metrics, r2, roc_auc
-from .numerics import RngStream, write_text
+from .numerics import RngStream, join_read_ahead, write_text
 from .svgplot import line_plot
 from .training import TrainConfig, TrainHistory, evaluate, train
 
@@ -341,13 +341,19 @@ def _kind_for(config: ExperimentConfig, name: str,
 def _fixed_alpha(config: ExperimentConfig,
                  kinds: list[ActivationKind]) -> float | None:
     """The fixed alpha for these cells, or None when alpha is learned;
-    ConfigError when none of them is brownian, the only kind it fixes."""
+    ConfigError when none of them is brownian, the only kind it fixes,
+    or when more than one alpha is given (only classify trains one cell
+    per alpha)."""
     if isinstance(config.alphas, str):
         return None
     if not any(kind.stochastic for kind in kinds):
         raise ConfigError(f"alphas {config.alphas} apply only to the "
                           f"brownian activation, which this run does not "
                           f"train")
+    if len(config.alphas) > 1:
+        raise ConfigError(f"alphas {config.alphas} hold "
+                          f"{len(config.alphas)} values, but this run "
+                          f"trains one fixed alpha; pass one value")
     return float(config.alphas[0])
 
 
@@ -477,10 +483,11 @@ def _job_map(jobs: int):
     without `os.sched_getaffinity` (1 usable CPU here), which include
     every platform without fork, run in process.  Forked workers
     inherit the loaded modules instead of importing them again.
-    Forking is safe here because the package starts no threads of its
-    own (tests/test_package.py) and a fork-context pool starts every
-    worker before its management thread.  Every worker is joined, with
-    pending jobs cancelled, before the block is left.
+    Forking is safe here because the package's only threads are
+    RngStream's read-ahead threads (tests/test_package.py), which are
+    joined before the pool is built, and a fork-context pool starts
+    every worker before its management thread.  Every worker is joined,
+    with pending jobs cancelled, before the block is left.
     """
     workers = min(jobs, _usable_cpus())
     if workers < 2 or _functions_replaced():
@@ -489,6 +496,7 @@ def _job_map(jobs: int):
     # Imported here: a run that never starts a pool never loads them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    join_read_ahead()
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:

@@ -4,6 +4,7 @@ environment of a child Python process."""
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -22,6 +23,27 @@ def child_env() -> dict:
     inherited = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (parent, inherited) if p))
+
+
+class ReadAheadBits:
+    """Stands in for an RngStream's bit generator; calls from its
+    read-ahead thread first wait for `release` (an Event, at most 10 s)
+    and then raise `fail` if one is given."""
+
+    def __init__(self, stream, release=None, fail=None):
+        self._real, self._release, self._fail = stream._bits, release, fail
+        stream._bits = self
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def random(self, *args, **kwargs):
+        if threading.current_thread().name == "RngStream-read-ahead":
+            if self._release is not None:
+                self._release.wait(10)
+            if self._fail is not None:
+                raise self._fail
+        return self._real.random(*args, **kwargs)
 
 
 def rel_error(a, b, floor: float = 1e-8) -> float:

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -23,8 +24,9 @@ from brownian_lstm.experiments import (CLASSIFICATION_HEADER,
                                        emit_paths_figure, load_series,
                                        parse_synth_spec, run_classification,
                                        run_comparison, run_sensitivity)
+from brownian_lstm.numerics import RngStream
 from brownian_lstm.training import TrainConfig, TrainingDiverged
-from helpers import child_env
+from helpers import ReadAheadBits, child_env
 
 FAST_TRAIN = dict(max_epochs=2, batch_size=32)
 
@@ -364,6 +366,11 @@ class TestWorkerPool:
         for ext in ("csv", "json"):
             assert (tmp_path / f"cpus1.{ext}").read_bytes() == \
                 (tmp_path / f"cpus2.{ext}").read_bytes()
+        # Brownian cells ran in this process too (cpus1); their
+        # read-ahead threads are daemons, and no worker is left.
+        assert [t for t in threading.enumerate()
+                if not t.daemon and t is not threading.main_thread()] == []
+        assert multiprocessing.active_children() == []
 
     def test_workers_capped_and_joined_after_return(self, tmp_path,
                                                     pool_on):
@@ -392,6 +399,38 @@ class TestWorkerPool:
         assert isinstance(info.value.__cause__, TrainingDiverged)
         assert pool_on == [2]
         assert multiprocessing.active_children() == []
+
+    def test_pool_forks_only_after_read_ahead_is_joined(self,
+                                                         monkeypatch):
+        # A stream's read-ahead block is held back until a timer fires;
+        # the pool must not be built (and fork) while it is pending.
+        release = threading.Event()
+        stream = RngStream(6)
+        ReadAheadBits(stream, release)
+        stream.standard_normals(3)
+        stream.standard_normals(3)   # a read-ahead block is now pending
+        pending_at_build = []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                pending_at_build.append(stream._worker.is_alive())
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        _usable_cpus(monkeypatch, 2)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        with brownian_lstm.experiments._job_map(2) as run:
+            assert list(run(abs, [-1, 2])) == [1, 2]
+        timer.join(10)
+        assert not timer.is_alive()
+        assert pending_at_build == [False]
 
     def test_replaced_package_function_runs_in_process(
             self, tmp_path, monkeypatch, pool_on):
@@ -595,6 +634,20 @@ class TestCli:
         assert code == 2
         assert err == ("error: alphas (0.5,) apply only to the brownian "
                        "activation, which this run does not train\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["compare", "sensitivity", "train"])
+    def test_several_fixed_alphas_exit_2(self, command, tmp_path, capsys):
+        # Only classify trains one cell per alpha; the others would
+        # keep the first alpha and drop the rest.
+        code = cli_main([command, "--synth", "sine:1,120", "--lookback", "5",
+                         "--hidden", "2", "--epochs", "1", "--m", "5",
+                         "--activations", "brownian", "--alpha", "0.1,0.9",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: alphas (0.1, 0.9) hold 2 values")
+        assert err.count("\n") == 1 and err.count("error:") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_classify_presets_alphas_for_baselines_too(self, tmp_path):

@@ -120,12 +120,22 @@ def _process_creation(path):
             yield f"{path.name}:{node.lineno} uses os.fork"
 
 
+# The harness worker pool joins every worker it starts, and RngStream's
+# read-ahead threads are the package's only threads, joined before the
+# pool forks; no other module may start processes or threads.
+_ALLOWED_STARTS = {"experiments.py": ("multiprocessing", "concurrent.futures"),
+                   "numerics.py": ("threading",)}
+
+
 def test_only_experiments_starts_processes():
-    # The harness worker pool joins every worker it starts; no other
-    # module may start processes or threads.
-    found = [hit for path in sorted(PACKAGE_DIR.glob("*.py"))
-             if path.name != "experiments.py"
-             for hit in _process_creation(path)]
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        allowed = _ALLOWED_STARTS.get(path.name, ())
+        for hit in _process_creation(path):
+            module = hit.partition(" imports ")[2]
+            if not any(module == a or module.startswith(a + ".")
+                       for a in allowed):
+                found.append(hit)
     assert found == []
 
 
