@@ -158,9 +158,9 @@ class ActivationCache:
     alpha: float
 
 
-def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
-               frozen_zbar: np.ndarray | None) -> np.ndarray:
-    neg = x <= 0.0
+def _draw_zbar(kind: ActivationKind, x: np.ndarray, neg: np.ndarray,
+               rng: RngStream, frozen_zbar: np.ndarray | None) -> np.ndarray:
+    """zbar at the flat (C-order) indices neg of x's negative branch."""
     if frozen_zbar is not None:
         frozen_zbar = np.asarray(frozen_zbar, dtype=np.float64)
         if frozen_zbar.shape != x.shape:
@@ -168,19 +168,16 @@ def _draw_zbar(kind: ActivationKind, x: np.ndarray, rng: RngStream,
                 f"frozen noise shape {frozen_zbar.shape} does not match "
                 f"input shape {x.shape}"
             )
-        return np.where(neg, frozen_zbar, 0.0)
+        return frozen_zbar.reshape(-1)[neg]
     if rng is None:
         raise ValueError("brownian activation requires an RngStream")
-    zbar = np.zeros_like(x)
-    count = int(neg.sum())
-    if count:
-        if kind.sampling == "collapsed":
-            z = rng.standard_normals(count) / math.sqrt(kind.m)
-        else:
-            draws = rng.standard_normals(count * kind.m)
-            z = draws.reshape(count, kind.m).mean(axis=1)
-        zbar[neg] = z
-    return zbar
+    count = neg.size
+    if not count:
+        return np.zeros(0)
+    if kind.sampling == "collapsed":
+        return rng.standard_normals(count) / math.sqrt(kind.m)
+    draws = rng.standard_normals(count * kind.m)
+    return draws.reshape(count, kind.m).mean(axis=1)
 
 
 def forward(kind: ActivationKind, x, alpha: float = 0.0,
@@ -206,9 +203,12 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
 
     zbar = None
     if kind.name == "relu":
-        y = np.where(x > 0.0, x, 0.0)
+        # np.maximum(-0.0, 0.0) may return either zero; + 0.0 gives +0.0.
+        y = np.maximum(x, 0.0) + 0.0
     elif kind.name == "leaky_relu":
-        y = np.where(x > 0.0, x, LEAKY_SLOPE * x)
+        # LEAKY_SLOPE * x lies between 0 and x, so the larger is x for
+        # x > 0 and LEAKY_SLOPE * x otherwise, signed zeros included.
+        y = np.maximum(x, LEAKY_SLOPE * x)
     elif kind.name == "prelu":
         y = np.where(x > 0.0, x, alpha * x)
     elif kind.name == "tanh":
@@ -216,10 +216,17 @@ def forward(kind: ActivationKind, x, alpha: float = 0.0,
     elif kind.name == "gelu":
         y = x * _phi(x)
     else:
-        zbar = _draw_zbar(kind, x, rng, frozen_zbar)
-        b = np.sqrt(np.abs(x)) * zbar
+        flat = x.reshape(-1)
+        neg = np.flatnonzero(flat <= 0.0)
+        zbar_neg = _draw_zbar(kind, x, neg, rng, frozen_zbar)
+        zbar = np.zeros(flat.size)
+        zbar[neg] = zbar_neg
+        zbar = zbar.reshape(x.shape)
+        b = np.sqrt(np.abs(flat[neg])) * zbar_neg
+        y = np.maximum(flat, 0.0)
         # + 0.0 normalizes -0.0 so alpha = 0 reproduces ReLU bitwise.
-        y = np.where(x > 0.0, x, -(alpha * b) + 0.0)
+        y[neg] = -(alpha * b) + 0.0
+        y = y.reshape(x.shape)
     return y, ActivationCache(kind=kind, inputs=x, zbar=zbar, alpha=alpha)
 
 
@@ -249,9 +256,9 @@ def backward_input(kind: ActivationKind, cache: ActivationCache,
     upstream = _check_cache(kind, cache, upstream)
     x = cache.inputs
     if kind.name == "relu":
-        g = np.where(x > 0.0, 1.0, 0.0)
+        g = x > 0.0
     elif kind.name == "leaky_relu":
-        g = np.where(x > 0.0, 1.0, LEAKY_SLOPE)
+        g = np.maximum(x > 0.0, LEAKY_SLOPE)
     elif kind.name == "prelu":
         g = np.where(x > 0.0, 1.0, cache.alpha)
     elif kind.name == "tanh":
@@ -260,9 +267,13 @@ def backward_input(kind: ActivationKind, cache: ActivationCache,
     elif kind.name == "gelu":
         g = _phi(x) + x * _pdf(x)
     else:
-        denom = 2.0 * np.sqrt(np.maximum(np.abs(x), EPSILON))
-        g = np.where(x > 0.0, 1.0, cache.alpha * cache.zbar / denom)
-        g = np.where(x == 0.0, 0.0, g)
+        # 1 on x > 0, 0 at x = 0, the slope on x < 0.
+        flat = x.reshape(-1)
+        neg = np.flatnonzero(flat < 0.0)
+        denom = 2.0 * np.sqrt(np.maximum(np.abs(flat[neg]), EPSILON))
+        g = (flat > 0.0).astype(np.float64)
+        g[neg] = cache.alpha * cache.zbar.reshape(-1)[neg] / denom
+        g = g.reshape(x.shape)
     return upstream * g
 
 
@@ -279,5 +290,8 @@ def backward_alpha(kind: ActivationKind, cache: ActivationCache,
     upstream = _check_cache(kind, cache, upstream)
     x = cache.inputs
     dy = x if kind.name == "prelu" else -np.sqrt(np.abs(x)) * cache.zbar
-    # The mask stays: a cache need not hold zbar = 0 where x > 0.
-    return float(np.sum(np.where(x <= 0.0, upstream * dy, 0.0)))
+    # Zero x > 0 by index: a cache need not hold zbar = 0 there, and a
+    # product with the mask would leave -0.0 or NaN where this puts +0.0.
+    terms = np.asarray(upstream * dy)
+    terms.put(np.flatnonzero(x > 0.0), 0.0)
+    return float(np.sum(terms))

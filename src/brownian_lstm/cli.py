@@ -141,7 +141,7 @@ class _Settings:
             if value is not None:
                 try:
                     values[field] = parse(value)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"--{flag.replace('_', '-')}: {exc}"
                                       ) from None
         return values

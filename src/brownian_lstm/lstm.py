@@ -56,9 +56,10 @@ CHECKPOINT_VERSION = 1
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
-    # below, with the exponent never positive.
+    # below, with the exponent never positive.  e <= 1, so the larger of
+    # e and the mask selects the numerator without a branch.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0.0) / (1.0 + e)
 
 
 def _rows(gate: str, n: int) -> slice:

@@ -215,6 +215,7 @@ def test_05_alpha_gradient_formula():
                  "hand-built cases")
 
 
+@pytest.mark.slow
 def test_06_end_to_end_regression(brownian_five, comparison_six):
     report5, _, elapsed5 = brownian_five
     report6, _, elapsed6 = comparison_six
@@ -240,6 +241,7 @@ def test_06_end_to_end_regression(brownian_five, comparison_six):
                  f"comparison report in {elapsed5 + elapsed6:.0f}s")
 
 
+@pytest.mark.slow
 def test_07_sensitivity_harness(sensitivity):
     report, _, elapsed = sensitivity
     assert report.header == REGRESSION_HEADER
@@ -304,6 +306,7 @@ def test_09_classification_harness(classification):
                  f"[0, 1] ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_10_reports_are_byte_identical(outdirs, brownian_five,
                                        comparison_six, sensitivity,
                                        classification):

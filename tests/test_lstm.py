@@ -1,5 +1,6 @@
 """LSTM initialisation, sequence forward, BPTT gradients, and checkpoints."""
 
+import hashlib
 import json
 import os
 import re
@@ -309,6 +310,40 @@ class TestBackwardBptt:
                                        ActivationKind.relu())
         with pytest.raises(ValueError, match="d_pred shape"):
             backward_bptt(p, trace, np.ones((2, 2)))
+
+
+# SHA-256 of _golden_bytes(), recorded with the np.where and boolean-mask
+# kernels that the branch-free selects replaced.
+GOLDEN_DIGEST = ("1b028175d7556eb7dbc1bc725964cc16"
+                 "ff2bcfd91628d4a6c65dffdc571dd9ea")
+
+
+def _golden_bytes():
+    """Predictions and every BPTT gradient of the six kinds at alpha 0.25
+    and -0.7, then one 256-wide stochastic brownian evaluate."""
+    x = RngStream(41, 1).normals((7, 3, 9), std=2.0)
+    d_pred = RngStream(41, 2).normals((2, 9))
+    for kind in DET_KINDS + [ActivationKind.brownian(m=50)]:
+        for alpha in (0.25, -0.7):
+            p = init_params(3, 6, 2, seed=41, alpha=alpha)
+            pred, trace = sequence_forward(p, x, kind, rng=RngStream(41, 3))
+            grads = backward_bptt(p, trace, d_pred)
+            yield pred.tobytes()
+            yield from (np.asarray(grads[key]).tobytes()
+                        for key in PARAM_KEYS)
+    p = init_params(3, 6, 1, seed=41)
+    loss, preds = evaluate(p, ActivationKind.brownian(m=1000),
+                           RngStream(41, 4).normals((256, 7, 3), std=2.0),
+                           np.zeros(256), TrainConfig(), RngStream(41, 5))
+    yield np.float64(loss).tobytes()
+    yield preds.tobytes()
+
+
+def test_forward_and_gradients_match_golden_digest():
+    digest = hashlib.sha256()
+    for chunk in _golden_bytes():
+        digest.update(chunk)
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 class TestCheckpoint:
