@@ -57,9 +57,15 @@ CHECKPOINT_VERSION = 1
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
     # below, with the exponent never positive.  e <= 1, so the larger of
-    # e and the mask selects the numerator without a branch.
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0.0) / (1.0 + e)
+    # e and the mask selects the numerator without a branch.  In place:
+    # at evaluate's width each temporary costs fresh pages.
+    e = np.abs(z, out=np.empty(np.shape(z)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, z >= 0.0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def _rows(gate: str, n: int) -> slice:
@@ -176,7 +182,10 @@ class ForwardTrace:
 def _step(params: LstmParams, n: int, kind: ActivationKind,
           x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
           rng: RngStream | None, frozen: tuple | None) -> StepTrace:
-    z = params.w @ x + params.u @ h_prev + params.b
+    # Summed in place, in the order of w @ x + u @ h_prev + b.
+    z = params.w @ x
+    z += params.u @ h_prev
+    z += params.b
     g = _sigmoid(z[:3 * n])
     f, i, o = g[:n], g[n:2 * n], g[2 * n:]
     zc_frozen = frozen[0] if frozen is not None else None
