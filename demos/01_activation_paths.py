@@ -20,7 +20,7 @@ def main():
     # 1. alpha = 0 collapses the stochastic branch: bitwise ReLU.
     rng = RngStream(7)
     x = rng.uniform(-10.0, 10.0, 1000)
-    relu_y, _ = forward(ActivationKind.relu(), x)
+    relu_y, _ = forward(ActivationKind("relu"), x)
     brownian_y, _ = forward(ActivationKind.brownian(m=500), x, alpha=0.0,
                             rng=RngStream(8))
     assert brownian_y.tobytes() == relu_y.tobytes()

@@ -40,7 +40,6 @@ import numpy as np
 
 from .numerics import RngStream
 
-KIND_NAMES = ("relu", "leaky_relu", "prelu", "tanh", "gelu", "brownian")
 _DISPLAY = {
     "relu": "ReLU",
     "leaky_relu": "LeakyReLU",
@@ -49,6 +48,7 @@ _DISPLAY = {
     "gelu": "GELU",
     "brownian": "BrownianReLU",
 }
+KIND_NAMES = tuple(_DISPLAY)
 # LeakyReLU's negative-branch slope.
 LEAKY_SLOPE = 0.01
 # Floor on |x| inside the sqrt of BrownianReLU's pathwise derivative.
@@ -116,26 +116,6 @@ class ActivationKind:
     @property
     def display_name(self) -> str:
         return _DISPLAY[self.name]
-
-    @classmethod
-    def relu(cls) -> "ActivationKind":
-        return cls("relu")
-
-    @classmethod
-    def leaky_relu(cls) -> "ActivationKind":
-        return cls("leaky_relu")
-
-    @classmethod
-    def prelu(cls) -> "ActivationKind":
-        return cls("prelu")
-
-    @classmethod
-    def tanh(cls) -> "ActivationKind":
-        return cls("tanh")
-
-    @classmethod
-    def gelu(cls) -> "ActivationKind":
-        return cls("gelu")
 
     @classmethod
     def brownian(cls, m: int = 1000,

@@ -3,7 +3,8 @@
 Subcommands: describe, train, sensitivity, compare, classify, paths.
 Data comes from --data CSV files or --synth generator specs; an
 optional --config JSON file supplies the same keys as the flags
-(dashes or underscores), with explicit flags taking precedence.  Each
+(dashes or underscores), with explicit flags taking precedence; a key
+the subcommand has no flag for is a configuration error.  Each
 flag sets one field of TrainConfig or ExperimentConfig, or one
 parameter of emit_paths_figure (the _*_FLAGS tables); a value that
 neither a flag nor the file sets keeps the subcommand's preset or else
@@ -67,9 +68,9 @@ def _alphas(value):
 
 # flag (dashes as underscores): (field, parse, help[, choices]).
 _TRAIN_FLAGS = {
-    "epochs": ("max_epochs", int, "epoch cap"),
-    "lr": ("learning_rate", float, "learning rate"),
-    "batch": ("batch_size", int, "minibatch size"),
+    "epochs": ("max_epochs", _single(int), "epoch cap"),
+    "lr": ("learning_rate", _single(float), "learning rate"),
+    "batch": ("batch_size", _single(int), "minibatch size"),
     "optimizer": ("optimizer", str, "update rule", ("sgd", "adam")),
     "eval_noise": ("eval_noise", str, "evaluation noise handling",
                    ("stochastic", "mean")),
@@ -85,9 +86,9 @@ _EXPERIMENT_FLAGS = {
     "m": ("m_values", _list(int), "comma-separated Monte Carlo sample counts"),
     "alpha": ("alphas", _alphas,
               "'learned' or comma-separated fixed alpha values"),
-    "lookback": ("lookback", int, "window length"),
-    "hidden": ("hidden_dim", int, "LSTM hidden units"),
-    "split": ("split", float, "train fraction in (0, 1)"),
+    "lookback": ("lookback", _single(int), "window length"),
+    "hidden": ("hidden_dim", _single(int), "LSTM hidden units"),
+    "split": ("split", _single(float), "train fraction in (0, 1)"),
     "sampling": ("sampling", str, "noise sampling mode",
                  ("explicit", "collapsed")),
     "norm_scope": ("norm_scope", str, "fit normalization on the full series "
@@ -98,9 +99,9 @@ _EXPERIMENT_FLAGS = {
 _PATHS_FLAGS = {
     "alpha": ("alphas", _list(float), "comma-separated alpha values"),
     "m": ("m_values", _list(int), "comma-separated sample counts"),
-    "xmin": ("x_min", float, "grid start"),
-    "xmax": ("x_max", float, "grid end"),
-    "points": ("points", int, "grid size"),
+    "xmin": ("x_min", _single(float), "grid start"),
+    "xmax": ("x_max", _single(float), "grid end"),
+    "points": ("points", _single(int), "grid size"),
     "sampling": ("sampling", str, "noise sampling mode",
                  ("explicit", "collapsed")),
     "seed": ("seed", _single(int), "noise seed"),
@@ -127,6 +128,12 @@ class _Settings:
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
         self.file_cfg = _load_config_file(ns.config) if ns.config else {}
+        # Every flag of the subcommand has a dest in ns, set or not.
+        known = set(vars(ns)) - {"command", "func", "config"}
+        unknown = sorted(set(self.file_cfg) - known)
+        if unknown:
+            raise ConfigError(f"config key(s) {', '.join(unknown)} match no "
+                              f"flag of {ns.command}")
 
     def pick(self, key: str):
         value = getattr(self.ns, key, None)
@@ -162,14 +169,13 @@ def _add_flags(sp: argparse.ArgumentParser, target, table: dict, flags,
     declares for its field, unless that is None or preset."""
     declared = inspect.signature(target).parameters
     for flag in flags:
-        field, parse, text, *choices = table[flag]
+        field, _, text, *choices = table[flag]
         default = declared[field].default
         if default is not None and field not in preset:
             if isinstance(default, tuple):
                 default = ",".join(map(str, default))
             text = f"{text} (default {default})"
         sp.add_argument("--" + flag.replace("_", "-"), dest=flag, help=text,
-                        type=parse if parse in (int, float) else None,
                         choices=choices[0] if choices else None)
 
 

@@ -361,7 +361,7 @@ def _fit_cell(config: ExperimentConfig, kind: ActivationKind, seed: int,
               datasets, loss: str, fixed_alpha: float | None):
     """Train one cell; returns (params, history, test predictions)."""
     _, train_ds, val_ds, test_ds = datasets
-    freeze = fixed_alpha is not None and kind.name == "brownian"
+    freeze = fixed_alpha is not None and kind.stochastic
     train_cfg = replace(config.train, seed=seed, loss=loss,
                         freeze_alpha=freeze)
     init_alpha = DEFAULT_ALPHA
@@ -417,7 +417,7 @@ def _regression_row(config: ExperimentConfig, seed: int,
     _, train_preds = evaluate(params, kind, train_ds.inputs,
                               train_ds.targets, train_cfg,
                               RngStream(seed, _TRAIN_EVAL_STREAM))
-    m = kind.m if kind.name == "brownian" else None
+    m = kind.m if kind.stochastic else None
     alpha = params.alpha if kind.has_alpha else None
     return [name, seed, kind.display_name, m, alpha, test_mse,
             r2(train_preds, train_ds.targets),
@@ -588,7 +588,7 @@ def run_classification(config: ExperimentConfig) -> ExperimentReport:
     cells = []
     for name in config.activations:
         kind = _kind_for(config, name)
-        if kind.name == "brownian" and not isinstance(config.alphas, str):
+        if kind.stochastic and not isinstance(config.alphas, str):
             cells += [(f"{kind.display_name} alpha={alpha}", kind,
                        float(alpha)) for alpha in config.alphas]
         else:

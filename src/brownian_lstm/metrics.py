@@ -1,6 +1,6 @@
 """Regression and binary-classification metrics.
 
-Confusion-matrix metrics threshold probabilities at 0.5 and map
+Confusion-matrix metrics threshold probabilities at THRESHOLD and map
 zero-denominator cases to 0 (no predicted positives gives precision 0,
 no actual positives gives recall 0, precision + recall = 0 gives F1 0).
 ROC-AUC is the Mann-Whitney rank statistic with average ranks on ties,
@@ -11,6 +11,8 @@ groups traversed diagonally.
 from __future__ import annotations
 
 import numpy as np
+
+THRESHOLD = 0.5
 
 
 def _pair(pred, target, name: str):
@@ -40,16 +42,16 @@ def r2(pred, target) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def confusion_metrics(prob, label, threshold: float = 0.5):
-    """Accuracy, precision, recall, and F1 at a probability threshold.
+def confusion_metrics(prob, label):
+    """Accuracy, precision, recall, and F1 at the probability THRESHOLD.
 
-    Predictions are prob >= threshold.  Returns a dict with keys
+    Predictions are prob >= THRESHOLD.  Returns a dict with keys
     'accuracy', 'precision', 'recall', 'f1', 'tp', 'fp', 'fn', 'tn'.
     """
     prob, label = _pair(prob, label, "confusion_metrics")
     if not np.all((label == 0.0) | (label == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    hard = prob >= threshold
+    hard = prob >= THRESHOLD
     truth = label == 1.0
     tp = int(np.sum(hard & truth))
     fp = int(np.sum(hard & ~truth))

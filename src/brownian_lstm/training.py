@@ -17,7 +17,7 @@ dedicated stream, so a (config seed, data) pair pins the entire run;
 validation uses its own stream and either keeps sampling
 (eval_noise='stochastic') or scores the ReLU network, the noise-mean
 network (eval_noise='mean').  Early stopping watches validation loss
-with a patience counter gated by min_delta; epoch_of_convergence is the
+with a patience counter gated by MIN_DELTA; epoch_of_convergence is the
 argmin of validation loss over the epochs actually executed, and the
 returned parameters are the snapshot from that epoch.
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from .activations import ActivationKind, NonFiniteInput
 from .lstm import LstmParams, backward_bptt, sequence_forward
-from .metrics import r2
+from .metrics import confusion_metrics, r2
 from .numerics import RngStream, write_text
 
 _NOISE_STREAM = 11
@@ -41,6 +41,12 @@ EVAL_BATCH = 256
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Global gradient-norm cap (0 turns clipping off), the validation-loss
+# improvement that resets the patience counter, and the |alpha| past
+# which a run counts as diverged.  train reads them on each call.
+CLIP_NORM = 5.0
+MIN_DELTA = 1e-5
+ALPHA_GUARD = 1e3
 
 
 class TrainingDiverged(RuntimeError):
@@ -53,7 +59,6 @@ class TrainConfig:
 
     eval_noise: 'stochastic' keeps sampling during validation and test
     evaluation, 'mean' replaces the noise by its mean, 0 (see evaluate).
-    alpha_guard aborts the run when |alpha| exceeds it.
     """
 
     learning_rate: float = 1e-3
@@ -61,13 +66,10 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: str = "adam"
     patience: int = 5
-    min_delta: float = 1e-5
     seed: int = 0
     loss: str = "mse"
     eval_noise: str = "stochastic"
-    clip_norm: float = 5.0
     freeze_alpha: bool = False
-    alpha_guard: float = 1e3
 
     def __post_init__(self):
         if not (0.0 < self.learning_rate < math.inf):
@@ -79,21 +81,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
-        if not (0.0 <= self.clip_norm < math.inf):
-            raise ValueError(f"clip_norm must be >= 0 and finite (0 turns "
-                             f"clipping off), got {self.clip_norm}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if not (0.0 <= self.min_delta < math.inf):
-            raise ValueError(f"min_delta must be >= 0 and finite, got "
-                             f"{self.min_delta}")
         if self.loss not in ("mse", "bce"):
             raise ValueError(f"unknown loss '{self.loss}'")
         if self.eval_noise not in ("stochastic", "mean"):
             raise ValueError(f"unknown eval_noise mode '{self.eval_noise}'")
-        if not (0.0 < self.alpha_guard < math.inf):
-            raise ValueError(f"alpha_guard must be > 0 and finite, got "
-                             f"{self.alpha_guard}")
 
     @property
     def head(self) -> str:
@@ -230,7 +223,7 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
     if n_samples == 0:
         raise ValueError("evaluation requires at least one sample")
     if config.eval_noise == "mean" and kind.stochastic:
-        kind = ActivationKind.relu()
+        kind = ActivationKind("relu")
     preds = np.empty(n_samples)
     for start in range(0, n_samples, EVAL_BATCH):
         idx = np.arange(start, min(start + EVAL_BATCH, n_samples))
@@ -245,7 +238,7 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
 def _epoch_metric(config: TrainConfig, preds: np.ndarray,
                   targets: np.ndarray) -> float:
     if config.loss == "bce":
-        return float(np.mean((preds >= 0.5) == (targets >= 0.5)))
+        return confusion_metrics(preds, targets)["accuracy"]
     if np.ptp(targets) == 0.0:
         return float("nan")
     return r2(preds, targets)
@@ -268,7 +261,7 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
         fresh noise per minibatch.  Raises ValueError for non-finite
         data, and TrainingDiverged naming the epoch and the batch for a
         non-finite loss, forward state or parameter array (and its key)
-        or |alpha| > config.alpha_guard.
+        or |alpha| > ALPHA_GUARD.
     """
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets, dtype=np.float64).ravel()
@@ -320,13 +313,13 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
                 grads = backward_bptt(params, trace, dpred.reshape(1, -1))
                 if config.freeze_alpha:
                     grads["alpha"][...] = 0.0
-                clip_gradients(grads, config.clip_norm)
+                clip_gradients(grads, CLIP_NORM)
                 optimizer_step(params, grads, opt_state, config)
                 for key, value in params.arrays().items():
                     if not np.isfinite(value).all():
                         raise TrainingDiverged(
                             f"parameter '{key}' went non-finite at {where}")
-                if abs(params.alpha) > config.alpha_guard:
+                if abs(params.alpha) > ALPHA_GUARD:
                     raise TrainingDiverged(
                         f"alpha diverged to {params.alpha} at {where}")
             where = f"epoch {epoch + 1}, validation"
@@ -342,7 +335,7 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
                 best_val = val_loss
                 best_params = params.copy()
                 history.epoch_of_convergence = epoch + 1
-            if val_loss < stop_best - config.min_delta:
+            if val_loss < stop_best - MIN_DELTA:
                 stop_best = val_loss
                 bad_epochs = 0
             else:

@@ -11,9 +11,9 @@ from brownian_lstm.numerics import RngStream
 
 from helpers import rel_error
 
-ALL_KINDS = [ActivationKind.relu(), ActivationKind.leaky_relu(),
-             ActivationKind.prelu(), ActivationKind.tanh(),
-             ActivationKind.gelu(), ActivationKind.brownian(m=50)]
+ALL_KINDS = [ActivationKind("relu"), ActivationKind("leaky_relu"),
+             ActivationKind("prelu"), ActivationKind("tanh"),
+             ActivationKind("gelu"), ActivationKind.brownian(m=50)]
 
 
 def _gelu_ref(x):
@@ -22,26 +22,26 @@ def _gelu_ref(x):
 
 class TestDeterministicForward:
     def test_relu_clips_negatives(self):
-        y, _ = forward(ActivationKind.relu(), np.array([-1.5, 0.0, 2.0]))
+        y, _ = forward(ActivationKind("relu"), np.array([-1.5, 0.0, 2.0]))
         np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
 
     def test_leaky_relu_slope(self):
-        y, _ = forward(ActivationKind.leaky_relu(), np.array([-2.0, 3.0]))
+        y, _ = forward(ActivationKind("leaky_relu"), np.array([-2.0, 3.0]))
         np.testing.assert_allclose(y, [-0.02, 3.0], rtol=0, atol=0)
 
     def test_prelu_uses_alpha(self):
-        y, _ = forward(ActivationKind.prelu(), np.array([-2.0, 3.0]),
+        y, _ = forward(ActivationKind("prelu"), np.array([-2.0, 3.0]),
                        alpha=0.25)
         np.testing.assert_array_equal(y, [-0.5, 3.0])
 
     def test_tanh_and_gelu_reference_values(self):
         x = np.linspace(-4.0, 4.0, 33)
-        y_tanh, _ = forward(ActivationKind.tanh(), x)
+        y_tanh, _ = forward(ActivationKind("tanh"), x)
         np.testing.assert_array_equal(y_tanh, np.tanh(x))
-        y_gelu, _ = forward(ActivationKind.gelu(), x)
+        y_gelu, _ = forward(ActivationKind("gelu"), x)
         np.testing.assert_allclose(y_gelu, _gelu_ref(x), rtol=1e-12,
                                    atol=1e-15)
-        assert forward(ActivationKind.gelu(), np.array([0.0]))[0][0] == 0.0
+        assert forward(ActivationKind("gelu"), np.array([0.0]))[0][0] == 0.0
 
     def test_non_finite_input_rejected(self):
         for kind in ALL_KINDS:
@@ -59,7 +59,7 @@ class TestBrownianForward:
 
     def test_alpha_zero_is_relu_bitwise(self):
         x = RngStream(11).uniform(-10.0, 10.0, size=1000)
-        relu_y, _ = forward(ActivationKind.relu(), x)
+        relu_y, _ = forward(ActivationKind("relu"), x)
         for m in (1, 500, 1500):
             y, _ = forward(ActivationKind.brownian(m=m), x, alpha=0.0,
                            rng=RngStream(4))
@@ -73,7 +73,7 @@ class TestBrownianForward:
         # At the noise mean zbar = 0, which evaluate's eval_noise="mean"
         # relies on, the branch is +0.0, ReLU's output, at either sign.
         x = np.array([-4.0, -1.0, 0.0, 2.0])
-        relu_y, _ = forward(ActivationKind.relu(), x)
+        relu_y, _ = forward(ActivationKind("relu"), x)
         for alpha in (0.7, -0.7):
             y, cache = forward(ActivationKind.brownian(), x, alpha=alpha,
                                frozen_zbar=np.zeros(4))
@@ -180,14 +180,14 @@ class TestBackwardInput:
         assert grad[0] == pytest.approx(expected, rel=1e-12)
 
     def test_cache_kind_mismatch_rejected(self):
-        y, cache = forward(ActivationKind.relu(), np.array([1.0]))
+        y, cache = forward(ActivationKind("relu"), np.array([1.0]))
         with pytest.raises(ValueError, match="cache was built"):
-            backward_input(ActivationKind.tanh(), cache, np.ones(1))
+            backward_input(ActivationKind("tanh"), cache, np.ones(1))
 
     def test_upstream_shape_mismatch_rejected(self):
-        y, cache = forward(ActivationKind.relu(), np.ones((2, 2)))
+        y, cache = forward(ActivationKind("relu"), np.ones((2, 2)))
         with pytest.raises(ValueError, match="upstream shape"):
-            backward_input(ActivationKind.relu(), cache, np.ones(3))
+            backward_input(ActivationKind("relu"), cache, np.ones(3))
 
 
 class TestBackwardAlpha:
@@ -214,14 +214,14 @@ class TestBackwardAlpha:
         assert backward_alpha(kind, cache, upstream) == -1.5
 
     def test_prelu_alpha_gradient(self):
-        kind = ActivationKind.prelu()
+        kind = ActivationKind("prelu")
         y, cache = forward(kind, np.array([-2.0, 3.0]), alpha=0.1)
         assert backward_alpha(kind, cache, np.array([1.0, 5.0])) == -2.0
 
     def test_kinds_without_alpha_reject(self):
-        y, cache = forward(ActivationKind.relu(), np.array([1.0]))
+        y, cache = forward(ActivationKind("relu"), np.array([1.0]))
         with pytest.raises(ValueError, match="no alpha"):
-            backward_alpha(ActivationKind.relu(), cache, np.ones(1))
+            backward_alpha(ActivationKind("relu"), cache, np.ones(1))
 
 
 class TestKindValidation:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import brownian_lstm
+from brownian_lstm import training
 from brownian_lstm.cli import cli_main
 from brownian_lstm.data import PriceSeries, TabularDataset
 from brownian_lstm.experiments import (CLASSIFICATION_HEADER,
@@ -385,14 +386,15 @@ class TestWorkerPool:
         assert pool_on == []
 
     def test_first_failure_in_report_order_and_workers_joined(
-            self, tmp_path, pool_on):
+            self, tmp_path, pool_on, monkeypatch):
         # Every cell diverges in its worker; the first in report order
         # is the one reported.
         config = _fast_regression_config(
             tmp_path, activations=("relu", "tanh", "gelu"), seeds=(1, 2),
             train=TrainConfig(**{**FAST_TRAIN, "optimizer": "sgd",
-                                 "learning_rate": 1e200,
-                                 "clip_norm": 0.0}))
+                                 "learning_rate": 1e200}))
+        # Set before the pool forks, so every worker trains unclipped.
+        monkeypatch.setattr(training, "CLIP_NORM", 0.0)
         with pytest.raises(RuntimeError) as info:
             run_comparison(config)
         assert str(info.value).startswith("cell (ReLU, seed=1) failed: ")
@@ -611,11 +613,25 @@ class TestCli:
         (["--alpha", "0.5,inf"], "alphas must be finite"),
         (["--activations", "prelu", "--alpha", "nan"],
          "alphas must be finite"),
+        # A dict is a config file's keys; a number is not truncated.
+        ({"epochs": 1.5}, "--epochs: invalid literal for int()"),
+        ({"lookback": 7.99}, "--lookback: invalid literal for int()"),
+        ({"hidden": True}, "--hidden: invalid literal for int()"),
+        ({"lr": True}, "--lr: could not convert string to float"),
+        ({"epoch": 1}, "config key(s) epoch match no flag of compare"),
+        ({"label_column": "y", "batch": 4},
+         "config key(s) label_column match no flag of compare"),
     ])
     def test_non_finite_setting_exits_2(self, args, message, tmp_path,
                                         capsys):
-        code = cli_main(["compare", "--synth", "sine:1,120", "--lookback",
-                         "5", "--hidden", "2", "--epochs", "1",
+        base = {"synth": "sine:1,120", "lookback": "5", "hidden": "2",
+                "epochs": "1"}
+        if isinstance(args, dict):
+            # The base settings go in the file too: a flag would win.
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**base, **args}))
+            base, args = {}, ["--config", str(path)]
+        code = cli_main(["compare", *(f"--{k}={v}" for k, v in base.items()),
                          "--out", str(tmp_path), *args])
         err = capsys.readouterr().err
         assert code == 2

@@ -18,9 +18,9 @@ from brownian_lstm.training import TrainConfig, evaluate
 
 from helpers import loss_at, numeric_gradients, rel_error
 
-DET_KINDS = [ActivationKind.relu(), ActivationKind.leaky_relu(),
-             ActivationKind.prelu(), ActivationKind.tanh(),
-             ActivationKind.gelu()]
+DET_KINDS = [ActivationKind("relu"), ActivationKind("leaky_relu"),
+             ActivationKind("prelu"), ActivationKind("tanh"),
+             ActivationKind("gelu")]
 # A v1 checkpoint of init_params(2, 3, 1, seed=5) with a brownian kind
 # (M = 500), written by the per-gate implementation that defined the
 # format.
@@ -88,7 +88,7 @@ class TestCellForward:
         p = _zero_params(1, 1, 1)
         p.b[3] = 2.0
         _, trace = sequence_forward(p, np.array([[3.0]]),
-                                    ActivationKind.relu())
+                                    ActivationKind("relu"))
         step = trace.steps[0]
         assert step.c[0, 0] == 1.0
         assert step.h[0, 0] == 0.5
@@ -97,7 +97,7 @@ class TestCellForward:
         p = _zero_params(1, 1, 1)
         p.b[3] = 2.0
         _, trace = sequence_forward(p, np.array([[1.0]]),
-                                    ActivationKind.tanh())
+                                    ActivationKind("tanh"))
         step = trace.steps[0]
         assert step.c[0, 0] == 0.5 * np.tanh(2.0)
         assert step.h[0, 0] == pytest.approx(
@@ -106,18 +106,18 @@ class TestCellForward:
     def test_shapes_single_and_batch(self):
         p = init_params(3, 4, 1, seed=2)
         _, trace = sequence_forward(p, np.zeros((1, 3)),
-                                    ActivationKind.tanh())
+                                    ActivationKind("tanh"))
         assert trace.steps[0].h.shape == (4, 1)
         assert trace.steps[0].c.shape == (4, 1)
         _, trace = sequence_forward(p, np.zeros((1, 3, 7)),
-                                    ActivationKind.tanh())
+                                    ActivationKind("tanh"))
         assert trace.steps[0].h.shape == (4, 7)
         assert trace.steps[0].c.shape == (4, 7)
 
     def test_gates_strictly_inside_unit_interval(self):
         p = init_params(2, 6, 1, seed=3)
         x = RngStream(4).normals((1, 2, 5))
-        _, trace = sequence_forward(p, x, ActivationKind.tanh())
+        _, trace = sequence_forward(p, x, ActivationKind("tanh"))
         step = trace.steps[0]
         for gate in (step.f, step.i, step.o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -130,7 +130,7 @@ class TestSequenceForward:
         n = 3
         p = init_params(2, n, 1, seed=6)
         x = RngStream(7).normals((1, 2))
-        pred, trace = sequence_forward(p, x, ActivationKind.tanh())
+        pred, trace = sequence_forward(p, x, ActivationKind("tanh"))
         z = p.w @ x[0].reshape(-1, 1) + p.b
         f, i, o = (_sigmoid(z[k * n:(k + 1) * n]) for k in range(3))
         c = i * np.tanh(z[3 * n:])
@@ -144,15 +144,15 @@ class TestSequenceForward:
     def test_zero_params_heads(self):
         p = _zero_params(1, 2, 1)
         x = np.ones((4, 1))
-        pred, _ = sequence_forward(p, x, ActivationKind.relu())
+        pred, _ = sequence_forward(p, x, ActivationKind("relu"))
         assert pred[0, 0] == 0.0
-        prob, _ = sequence_forward(p, x, ActivationKind.relu(),
+        prob, _ = sequence_forward(p, x, ActivationKind("relu"),
                                    head="sigmoid")
         assert prob[0, 0] == 0.5
 
     def test_batch_columns_match_single_runs(self):
         p = init_params(2, 4, 1, seed=8)
-        kind = ActivationKind.gelu()
+        kind = ActivationKind("gelu")
         seqs = RngStream(9).normals((5, 2, 3))
         batch_pred, _ = sequence_forward(p, seqs, kind)
         for col in range(3):
@@ -163,7 +163,7 @@ class TestSequenceForward:
     def test_brownian_alpha_zero_matches_relu_bitwise(self):
         p = init_params(1, 4, 1, seed=10, alpha=0.0)
         x = RngStream(11).normals((6, 1))
-        pred_relu, _ = sequence_forward(p, x, ActivationKind.relu())
+        pred_relu, _ = sequence_forward(p, x, ActivationKind("relu"))
         pred_br, _ = sequence_forward(p, x, ActivationKind.brownian(m=500),
                                       rng=RngStream(12))
         assert pred_relu.tobytes() == pred_br.tobytes()
@@ -171,12 +171,12 @@ class TestSequenceForward:
     def test_empty_sequence_rejected(self):
         p = init_params(1, 2, 1, seed=1)
         with pytest.raises(ValueError, match="at least 1"):
-            sequence_forward(p, np.zeros((0, 1)), ActivationKind.relu())
+            sequence_forward(p, np.zeros((0, 1)), ActivationKind("relu"))
 
     def test_feature_dim_mismatch_rejected(self):
         p = init_params(2, 2, 1, seed=1)
         with pytest.raises(ValueError, match="feature dim"):
-            sequence_forward(p, np.zeros((3, 5)), ActivationKind.relu())
+            sequence_forward(p, np.zeros((3, 5)), ActivationKind("relu"))
 
     def test_noise_plan_replay_is_bit_identical(self):
         p = init_params(1, 3, 1, seed=13)
@@ -189,7 +189,7 @@ class TestSequenceForward:
     @pytest.mark.parametrize("kind,noise,head", [
         (ActivationKind.brownian(m=1000), "sample", "linear"),
         (ActivationKind.brownian(m=1000), "mean", "linear"),
-        (ActivationKind.relu(), "sample", "linear"),
+        (ActivationKind("relu"), "sample", "linear"),
         (ActivationKind.brownian(m=1000), "sample", "sigmoid"),
     ])
     def test_unrecorded_forward_matches_recorded(self, kind, noise, head):
@@ -198,7 +198,7 @@ class TestSequenceForward:
         x = RngStream(17).normals((6, 2, 300))
         rng_rec, rng_free = RngStream(18, 3), RngStream(18, 3)
         # At the noise mean the network is the ReLU network.
-        net = ActivationKind.relu() if noise == "mean" else kind
+        net = ActivationKind("relu") if noise == "mean" else kind
         rec, rec_trace = sequence_forward(p, x, net, rng=rng_rec, head=head)
         free, trace = sequence_forward(p, x, net, rng=rng_free, head=head,
                                        record=False)
@@ -226,7 +226,7 @@ class TestBackwardBptt:
     def test_zero_upstream_gives_zero_grads(self):
         p = init_params(2, 3, 1, seed=20)
         x = RngStream(21).normals((4, 2))
-        pred, trace = sequence_forward(p, x, ActivationKind.tanh())
+        pred, trace = sequence_forward(p, x, ActivationKind("tanh"))
         grads = backward_bptt(p, trace, np.zeros((1, 1)))
         for key in PARAM_KEYS:
             np.testing.assert_array_equal(grads[key], 0.0)
@@ -261,7 +261,7 @@ class TestBackwardBptt:
                 assert rel_error(grads[key], fd[key]) < 1e-4, key
 
     def test_sigmoid_head_gradients_match_finite_differences(self):
-        kind = ActivationKind.tanh()
+        kind = ActivationKind("tanh")
         p = init_params(2, 3, 1, seed=80)
         x = RngStream(81).normals((4, 2))
         label = np.array([1.0])
@@ -307,7 +307,7 @@ class TestBackwardBptt:
     def test_dpred_shape_mismatch_rejected(self):
         p = init_params(1, 2, 1, seed=1)
         pred, trace = sequence_forward(p, np.ones((2, 1)),
-                                       ActivationKind.relu())
+                                       ActivationKind("relu"))
         with pytest.raises(ValueError, match="d_pred shape"):
             backward_bptt(p, trace, np.ones((2, 2)))
 
@@ -365,7 +365,7 @@ class TestCheckpoint:
     def test_version_check(self, tmp_path):
         p = init_params(1, 2, 1, seed=1)
         path = tmp_path / "model.json"
-        save_checkpoint(str(path), p, ActivationKind.relu())
+        save_checkpoint(str(path), p, ActivationKind("relu"))
         doc = path.read_text().replace('"format_version": 1',
                                        '"format_version": 99')
         path.write_text(doc)
@@ -411,7 +411,7 @@ class TestCheckpoint:
         # d = 2, n = 4, out = 1.
         path = tmp_path / "model.json"
         save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
-                        ActivationKind.relu())
+                        ActivationKind("relu"))
         doc = json.loads(path.read_text())
         if value is None:
             del doc["arrays"][key]
@@ -441,7 +441,7 @@ class TestCheckpoint:
                                            value, message):
         path = tmp_path / "model.json"
         save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
-                        ActivationKind.relu())
+                        ActivationKind("relu"))
         doc = json.loads(path.read_text())
         (doc if section is None else doc[section])[key] = value
         path.write_text(json.dumps(doc))
@@ -473,7 +473,7 @@ class TestCheckpoint:
     def test_non_object_document_rejected(self, tmp_path, section, message):
         path = tmp_path / "model.json"
         save_checkpoint(str(path), init_params(2, 4, 1, seed=1),
-                        ActivationKind.relu())
+                        ActivationKind("relu"))
         doc = json.loads(path.read_text())
         if section is None:
             doc = [doc]

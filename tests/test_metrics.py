@@ -82,11 +82,6 @@ class TestConfusionMetrics:
         got = confusion_metrics(np.array([0.5]), np.array([1.0]))
         assert got["tp"] == 1
 
-    def test_custom_threshold(self):
-        got = confusion_metrics(np.array([0.6]), np.array([1.0]),
-                                threshold=0.7)
-        assert got["fn"] == 1
-
     def test_counts_sum_to_n(self):
         rng = RngStream(2)
         prob = rng.uniform(size=100)

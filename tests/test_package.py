@@ -202,7 +202,7 @@ def test_scipy_is_imported_only_when_a_gelu_kind_is_built():
         "import brownian_lstm, brownian_lstm.cli\n"
         "brownian_lstm.ActivationKind.brownian()")
     assert "scipy.special" in _imported_modules(
-        "import brownian_lstm\nbrownian_lstm.ActivationKind.gelu()")
+        "import brownian_lstm\nbrownian_lstm.ActivationKind('gelu')")
 
 
 def test_pool_modules_are_imported_only_when_a_pool_starts():

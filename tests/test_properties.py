@@ -43,7 +43,7 @@ def test_brownian_at_alpha_zero_is_relu_through_the_lstm(t, d, n, batch,
                                                          seed):
     params = init_params(d, n, 1, seed=seed, alpha=0.0)
     x = RngStream(seed, 1).normals((t, d, batch), std=3.0)
-    relu, _ = sequence_forward(params, x, ActivationKind.relu())
+    relu, _ = sequence_forward(params, x, ActivationKind("relu"))
     brownian, _ = sequence_forward(params, x, ActivationKind.brownian(m=7),
                                    rng=RngStream(seed, 2))
     assert brownian.tobytes() == relu.tobytes()
@@ -94,7 +94,7 @@ def test_zero_noise_is_relu_at_any_alpha(t, d, n, batch, seed, alpha):
     # evaluate's eval_noise="mean" scores the ReLU network on this ground.
     params = init_params(d, n, 1, seed=seed, alpha=alpha)
     x = RngStream(seed, 1).normals((t, d, batch), std=3.0)
-    relu, _ = sequence_forward(params, x, ActivationKind.relu())
+    relu, _ = sequence_forward(params, x, ActivationKind("relu"))
     zeros = np.zeros((n, batch))
     brownian, _ = sequence_forward(params, x, ActivationKind.brownian(m=7),
                                    noise=[(zeros, zeros)] * t)
@@ -102,7 +102,7 @@ def test_zero_noise_is_relu_at_any_alpha(t, d, n, batch, seed, alpha):
 
 
 @pytest.mark.parametrize("kind,tolerance", [
-    (ActivationKind.brownian(m=15), 1e-4), (ActivationKind.tanh(), 1e-6)],
+    (ActivationKind.brownian(m=15), 1e-4), (ActivationKind("tanh"), 1e-6)],
     ids=["brownian", "tanh"])
 @PROFILE
 @given(t=SMALL, d=SMALL, n=SMALL, batch=SMALL, seed=st.integers(0, 2**32 - 1),

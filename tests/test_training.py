@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from brownian_lstm import training
 from brownian_lstm.activations import ActivationKind
 from brownian_lstm.lstm import (PARAM_KEYS, backward_bptt, init_params,
                                 sequence_forward)
 from brownian_lstm.numerics import RngStream
-from brownian_lstm.training import (OptimizerState, TrainConfig,
+from brownian_lstm.training import (CLIP_NORM, OptimizerState, TrainConfig,
                                     TrainingDiverged, bce_loss,
                                     clip_gradients, evaluate, mse_loss,
                                     optimizer_step, train)
@@ -136,11 +137,7 @@ class TestOptimizerStep:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
-        ("clip_norm", float("nan")), ("clip_norm", -1.0),
-        ("clip_norm", float("inf")), ("alpha_guard", float("inf")),
-        ("learning_rate", float("inf")),
-        ("learning_rate", float("nan")), ("min_delta", float("nan")),
-        ("min_delta", float("inf")),
+        ("learning_rate", float("inf")), ("learning_rate", float("nan")),
     ])
     def test_rejects_bad_optimizer_settings(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -179,7 +176,7 @@ class TestTrainLoop:
         tr_in, tr_tg, va_in, va_tg = _toy_split()
         cfg = TrainConfig(max_epochs=4, batch_size=16, seed=1, patience=50)
         p = init_params(1, 4, 1, seed=2)
-        _, history = train(p, ActivationKind.tanh(),
+        _, history = train(p, ActivationKind("tanh"),
                            tr_in, tr_tg, va_in, va_tg, cfg)
         assert len(history.train_loss) == 4
         assert len(history.val_loss) == 4
@@ -193,7 +190,7 @@ class TestTrainLoop:
         # not the last epoch's.
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=60)
         cfg = TrainConfig(max_epochs=8, batch_size=16, seed=1, patience=50)
-        kind = ActivationKind.tanh()
+        kind = ActivationKind("tanh")
         p = init_params(1, 4, 1, seed=2)
         best, history = train(p, kind, tr_in, tr_tg, va_in, va_tg, cfg)
         loss, _ = evaluate(best, kind, va_in, va_tg, cfg, None)
@@ -203,28 +200,28 @@ class TestTrainLoop:
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=80)
         cfg = TrainConfig(max_epochs=15, batch_size=16, seed=1, patience=50)
         p = init_params(1, 8, 1, seed=4)
-        _, history = train(p, ActivationKind.tanh(),
+        _, history = train(p, ActivationKind("tanh"),
                            tr_in, tr_tg, va_in, va_tg, cfg)
         assert history.train_loss[-1] < history.train_loss[0]
 
-    def test_early_stop_on_flat_validation(self):
+    def test_early_stop_on_flat_validation(self, monkeypatch):
         # Constant targets are fit almost immediately; with a tight
-        # patience and a large min_delta the loop must stop well before
+        # patience and a large MIN_DELTA the loop must stop well before
         # max_epochs.
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=60)
         tr_tg = np.full_like(tr_tg, 0.5)
         va_tg = np.full_like(va_tg, 0.5)
-        cfg = TrainConfig(max_epochs=50, batch_size=16, seed=1, patience=2,
-                          min_delta=0.5)
+        monkeypatch.setattr(training, "MIN_DELTA", 0.5)
+        cfg = TrainConfig(max_epochs=50, batch_size=16, seed=1, patience=2)
         p = init_params(1, 4, 1, seed=2)
-        _, history = train(p, ActivationKind.tanh(),
+        _, history = train(p, ActivationKind("tanh"),
                            tr_in, tr_tg, va_in, va_tg, cfg)
         assert len(history.train_loss) < 50
 
-    def test_alpha_guard_raises(self):
+    def test_alpha_guard_raises(self, monkeypatch):
         tr_in, tr_tg, va_in, va_tg = _toy_split()
-        cfg = TrainConfig(max_epochs=3, batch_size=16, seed=1,
-                          alpha_guard=1e-9)
+        monkeypatch.setattr(training, "ALPHA_GUARD", 1e-9)
+        cfg = TrainConfig(max_epochs=3, batch_size=16, seed=1)
         p = init_params(1, 4, 1, seed=2, alpha=0.25)
         with pytest.raises(TrainingDiverged):
             train(p, ActivationKind.brownian(m=5),
@@ -233,30 +230,31 @@ class TestTrainLoop:
     @pytest.mark.parametrize("batch_size", [16, 64])
     @pytest.mark.parametrize("name", ["relu", "leaky_relu", "prelu",
                                       "tanh", "gelu", "brownian"])
-    def test_every_blow_up_raises_training_diverged(self, name, batch_size):
+    def test_every_blow_up_raises_training_diverged(self, name, batch_size,
+                                                    monkeypatch):
         # Kinds fail differently (forward state overflowed in a training
         # batch or in validation, non-finite loss, alpha guard), but
         # always as TrainingDiverged naming where.
         tr_in, tr_tg, va_in, va_tg = _toy_split()
+        monkeypatch.setattr(training, "CLIP_NORM", 0.0)
         cfg = TrainConfig(max_epochs=3, batch_size=batch_size, seed=1,
-                          optimizer="sgd", learning_rate=1e200,
-                          clip_norm=0.0)
+                          optimizer="sgd", learning_rate=1e200)
         p = init_params(1, 4, 1, seed=2)
         with pytest.raises(TrainingDiverged,
                            match=r"at epoch \d, (batch \d|validation)$"):
-            train(p, getattr(ActivationKind, name)(),
+            train(p, ActivationKind(name),
                   tr_in, tr_tg, va_in, va_tg, cfg)
 
-    def test_non_finite_parameter_names_its_key(self):
+    def test_non_finite_parameter_names_its_key(self, monkeypatch):
         tr_in, tr_tg, va_in, va_tg = _toy_split()
+        monkeypatch.setattr(training, "CLIP_NORM", 0.0)
         cfg = TrainConfig(max_epochs=3, batch_size=16, seed=1,
-                          optimizer="sgd", learning_rate=1e300,
-                          clip_norm=0.0)
+                          optimizer="sgd", learning_rate=1e300)
         p = init_params(1, 4, 1, seed=2)
         with pytest.raises(TrainingDiverged,
                            match="parameter 'w' went non-finite at epoch 1, "
                                  "batch 1"):
-            train(p, ActivationKind.tanh(), tr_in, tr_tg * 1e10,
+            train(p, ActivationKind("tanh"), tr_in, tr_tg * 1e10,
                   va_in, va_tg, cfg)
 
     @pytest.mark.parametrize("which", range(4))
@@ -266,14 +264,14 @@ class TestTrainLoop:
         data[which].flat[0] = np.nan
         cfg = TrainConfig(max_epochs=1, seed=1)
         with pytest.raises(ValueError, match="NaN or an inf"):
-            train(init_params(1, 3, 1, seed=2), ActivationKind.relu(),
+            train(init_params(1, 3, 1, seed=2), ActivationKind("relu"),
                   *data, cfg)
 
     def test_single_batch_step_matches_hand_composition(self):
         # One epoch, one minibatch, SGD: the trained params must equal
         # manually running forward, backward, clip, step.
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=10)
-        kind = ActivationKind.tanh()
+        kind = ActivationKind("tanh")
         cfg = TrainConfig(max_epochs=1, batch_size=16, optimizer="sgd",
                           learning_rate=0.05, seed=6, patience=50)
 
@@ -282,7 +280,7 @@ class TestTrainLoop:
         pred, trace = sequence_forward(manual, batch, kind)
         _, dpred = mse_loss(pred[0], tr_tg)
         grads = backward_bptt(manual, trace, dpred.reshape(1, -1))
-        clip_gradients(grads, cfg.clip_norm)
+        clip_gradients(grads, CLIP_NORM)
         state = OptimizerState()
         optimizer_step(manual, grads, state, cfg)
 
@@ -298,7 +296,7 @@ class TestTrainLoop:
         targets = (inputs[:, -1, 0] > 0).astype(float)
         cfg = TrainConfig(max_epochs=3, batch_size=16, seed=1, loss="bce")
         p = init_params(2, 4, 1, seed=3)
-        _, history = train(p, ActivationKind.relu(), inputs[:32],
+        _, history = train(p, ActivationKind("relu"), inputs[:32],
                            targets[:32], inputs[32:], targets[32:], cfg)
         assert np.isfinite(history.train_loss).all()
         assert len(history.metric) == len(history.train_loss)
@@ -308,7 +306,7 @@ class TestTrainLoop:
         tr_in, tr_tg, va_in, va_tg = _toy_split(n=20)
         cfg = TrainConfig(max_epochs=2, batch_size=8, seed=1)
         p = init_params(1, 3, 1, seed=2)
-        _, history = train(p, ActivationKind.relu(),
+        _, history = train(p, ActivationKind("relu"),
                            tr_in, tr_tg, va_in, va_tg, cfg)
         out = tmp_path / "history.csv"
         history.to_csv(str(out))
@@ -322,7 +320,7 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=1, seed=1)
         p = init_params(1, 3, 1, seed=2)
         with pytest.raises(ValueError, match="targets"):
-            train(p, ActivationKind.relu(), tr_in, tr_tg[:-1],
+            train(p, ActivationKind("relu"), tr_in, tr_tg[:-1],
                   va_in, va_tg, cfg)
 
 
@@ -330,7 +328,7 @@ class TestEvaluate:
     def test_matches_direct_forward_deterministic(self):
         inputs, targets = _toy_regression(n=12)
         p = init_params(1, 3, 1, seed=2)
-        kind = ActivationKind.tanh()
+        kind = ActivationKind("tanh")
         loss, preds = evaluate(p, kind, inputs, targets, TrainConfig(), None)
         direct, _ = sequence_forward(p, inputs.transpose(1, 2, 0), kind)
         np.testing.assert_allclose(preds, direct[0], rtol=1e-12)
@@ -346,7 +344,7 @@ class TestEvaluate:
         config = TrainConfig(eval_noise=eval_noise)
         # Under "mean" evaluate scores the ReLU network and draws nothing,
         # so rng_direct, never drawn from, must match rng_eval at the end.
-        net = kind if eval_noise == "stochastic" else ActivationKind.relu()
+        net = kind if eval_noise == "stochastic" else ActivationKind("relu")
         rng_eval, rng_direct = RngStream(5, 23), RngStream(5, 23)
         loss, preds = evaluate(p, kind, inputs, targets, config, rng_eval)
         chunks = []
