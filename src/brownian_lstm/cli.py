@@ -222,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_describe(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
     series = load_series(_experiment_config(st))
-    values = series.values
-    label = "raw"
-    if not st.pick("raw"):
-        values, _, _ = minmax_normalize(values)
-        label = "normalized"
+    raw = st.pick("raw")
+    if raw not in (None, True, False):
+        raise ConfigError(f"--raw: expected true or false, got {raw!r}")
+    label = "raw" if raw else "normalized"
+    values = series.values if raw else minmax_normalize(series.values)[0]
     mean, variance = describe(values)
     print(f"dataset={series.name} n={values.size} scale={label} "
           f"mean={mean:.6f} variance={variance:.6f}")

@@ -26,9 +26,12 @@ through together and is 1 for single-sequence use.  LstmParams stores
 the four gate blocks stacked as W (4n, d), U (4n, n) and b (4n, 1), rows
 in GATE_ORDER = [f; i; o; c], so each timestep costs two matrix
 products; alpha is a (1, 1) array, so PARAM_KEYS names every learnable
-array.  Checkpoint files (format_version 1) keep one array per gate and
-matrix (w_f, u_f, b_f, ..., w_y, b_y); save_checkpoint splits the
-row blocks and load_checkpoint joins them.
+array.  A step keeps its gates in the same rows as one (4n, B) block,
+StepTrace.gates: the pre-activation, with the sigmoid taken in place
+over [f; i; o], and backward_bptt fills dL/dz in that layout.
+Checkpoint files (format_version 1) keep one array per gate and matrix
+(w_f, u_f, b_f, ..., w_y, b_y); save_checkpoint splits the row blocks
+and load_checkpoint joins them.
 """
 
 from __future__ import annotations
@@ -57,15 +60,15 @@ CHECKPOINT_VERSION = 1
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
     # below, with the exponent never positive.  e <= 1, so the larger of
-    # e and the mask selects the numerator without a branch.  In place:
-    # at evaluate's width each temporary costs fresh pages.
+    # e and the mask selects the numerator without a branch.  In place,
+    # into z: at evaluate's width each temporary costs fresh pages.
     e = np.abs(z, out=np.empty(np.shape(z)))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.maximum(e, z >= 0.0)
+    np.maximum(e, z >= 0.0, out=z)
     e += 1.0
-    num /= e
-    return num
+    z /= e
+    return z
 
 
 def _rows(gate: str, n: int) -> slice:
@@ -149,14 +152,13 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
 
 @dataclass
 class StepTrace:
-    """Everything one timestep's backward pass needs."""
+    """Everything one timestep's backward pass needs.  gates (4n, B) holds
+    [f; i; o], then the candidate pre-activation that cand_cache views."""
 
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray
     c_tilde: np.ndarray
     cand_cache: ActivationCache
     c: np.ndarray
@@ -186,16 +188,15 @@ def _step(params: LstmParams, n: int, kind: ActivationKind,
     z = params.w @ x
     z += params.u @ h_prev
     z += params.b
-    g = _sigmoid(z[:3 * n])
-    f, i, o = g[:n], g[n:2 * n], g[2 * n:]
-    zc_frozen = frozen[0] if frozen is not None else None
-    c_frozen = frozen[1] if frozen is not None else None
+    _sigmoid(z[:3 * n])
+    f, i, o = z[:n], z[n:2 * n], z[2 * n:3 * n]
+    zc_frozen, c_frozen = frozen if frozen is not None else (None, None)
     c_tilde, cand_cache = forward(kind, z[3 * n:], params.alpha, rng,
                                   frozen_zbar=zc_frozen)
     c = f * c_prev + i * c_tilde
     a, cell_cache = forward(kind, c, params.alpha, rng, frozen_zbar=c_frozen)
     h = o * a
-    return StepTrace(x=x, h_prev=h_prev, c_prev=c_prev, f=f, i=i, o=o,
+    return StepTrace(x=x, h_prev=h_prev, c_prev=c_prev, gates=z,
                      c_tilde=c_tilde, cand_cache=cand_cache, c=c, a=a,
                      cell_cache=cell_cache, h=h)
 
@@ -294,29 +295,28 @@ def backward_bptt(params: LstmParams, trace: ForwardTrace,
     db = np.zeros_like(params.b)
     dalpha = np.zeros((1, 1))
 
+    n = params.hidden_dim
     for step in reversed(trace.steps):
-        do = dh * step.a
-        da = dh * step.o
+        g = step.gates[:3 * n]
+        dz = np.empty_like(step.gates)
+        np.multiply(dh, step.a, out=dz[2 * n:3 * n])
+        da = dh * g[2 * n:]
         dc = dc + backward_input(kind, step.cell_cache, da)
         if kind.has_alpha:
             dalpha += backward_alpha(kind, step.cell_cache, da)
-        df = dc * step.c_prev
-        di = dc * step.c_tilde
-        dct = dc * step.i
-        dzc = backward_input(kind, step.cand_cache, dct)
+        np.multiply(dc, step.c_prev, out=dz[:n])
+        np.multiply(dc, step.c_tilde, out=dz[n:2 * n])
+        dct = dc * g[n:2 * n]
+        dz[3 * n:] = backward_input(kind, step.cand_cache, dct)
         if kind.has_alpha:
             dalpha += backward_alpha(kind, step.cand_cache, dct)
-        dz = np.concatenate([
-            df * step.f * (1.0 - step.f),
-            di * step.i * (1.0 - step.i),
-            do * step.o * (1.0 - step.o),
-            dzc,
-        ])
+        dz[:3 * n] *= g
+        dz[:3 * n] *= 1.0 - g
         dw += dz @ step.x.T
         du += dz @ step.h_prev.T
         db += dz.sum(axis=1, keepdims=True)
         dh = params.u.T @ dz
-        dc = dc * step.f
+        dc *= g[:n]
 
     return {"w": dw, "u": du, "b": db, "w_y": dlogit @ h_last.T,
             "b_y": dlogit.sum(axis=1, keepdims=True), "alpha": dalpha}

@@ -201,9 +201,9 @@ def optimizer_step(params: LstmParams, grads: dict, state: OptimizerState,
         weights -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _batch_tensor(inputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # (N, T, d) rows -> (T, d, B) columns for the cell.
-    return np.ascontiguousarray(inputs[idx].transpose(1, 2, 0))
+def _batch_tensor(inputs: np.ndarray, rows: slice) -> np.ndarray:
+    # (N, T, d) rows -> (T, d, B) columns for the cell, copied once.
+    return np.ascontiguousarray(inputs[rows].transpose(1, 2, 0))
 
 
 def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
@@ -226,10 +226,10 @@ def evaluate(params: LstmParams, kind: ActivationKind, inputs: np.ndarray,
         kind = ActivationKind("relu")
     preds = np.empty(n_samples)
     for start in range(0, n_samples, EVAL_BATCH):
-        idx = np.arange(start, min(start + EVAL_BATCH, n_samples))
-        pred, _ = sequence_forward(params, _batch_tensor(inputs, idx), kind,
+        rows = slice(start, start + EVAL_BATCH)
+        pred, _ = sequence_forward(params, _batch_tensor(inputs, rows), kind,
                                    rng=rng, head=config.head, record=False)
-        preds[idx] = pred[0]
+        preds[rows] = pred[0]
     loss_fn = bce_loss if config.loss == "bce" else mse_loss
     loss, _ = loss_fn(preds, targets)
     return loss, preds
@@ -301,15 +301,15 @@ def train(params: LstmParams, kind: ActivationKind, train_inputs,
             epoch_preds = np.empty(n_train)
             for batch, start in enumerate(batch_starts):
                 where = f"epoch {epoch + 1}, batch {batch + 1}"
-                idx = np.arange(start, min(start + config.batch_size, n_train))
-                x = _batch_tensor(train_inputs, idx)
+                rows = slice(start, start + config.batch_size)
+                x = _batch_tensor(train_inputs, rows)
                 pred, trace = sequence_forward(params, x, kind, rng=noise_rng,
                                                head=config.head)
-                loss, dpred = loss_fn(pred[0], train_targets[idx])
+                loss, dpred = loss_fn(pred[0], train_targets[rows])
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at {where}")
-                epoch_loss += loss * idx.size
-                epoch_preds[idx] = pred[0]
+                epoch_loss += loss * pred.shape[1]
+                epoch_preds[rows] = pred[0]
                 grads = backward_bptt(params, trace, dpred.reshape(1, -1))
                 if config.freeze_alpha:
                     grads["alpha"][...] = 0.0

@@ -696,6 +696,14 @@ class TestCli:
                          str(tmp_path / "cfg.json")]) == 0
         assert "scale=raw" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("raw", ['"false"', '"yes"', "2"])
+    def test_describe_rejects_a_non_boolean_raw(self, tmp_path, capsys, raw):
+        (tmp_path / "cfg.json").write_text(
+            f'{{"synth": "gbm:7,100", "raw": {raw}}}')
+        assert cli_main(["describe", "--config",
+                         str(tmp_path / "cfg.json")]) == 2
+        assert "--raw" in capsys.readouterr().err
+
     def test_config_file_merge_and_flag_override(self, tmp_path):
         cfg = {"synth": "sine:3,140", "lookback": 8, "hidden": 6,
                "epochs": 2, "m": "5", "activations": "relu",

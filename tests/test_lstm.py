@@ -118,9 +118,20 @@ class TestCellForward:
         p = init_params(2, 6, 1, seed=3)
         x = RngStream(4).normals((1, 2, 5))
         _, trace = sequence_forward(p, x, ActivationKind("tanh"))
-        step = trace.steps[0]
-        for gate in (step.f, step.i, step.o):
-            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        # The first 3n rows of the stacked block are f, i and o.
+        gates = trace.steps[0].gates[:3 * 6]
+        assert np.all(gates > 0.0) and np.all(gates < 1.0)
+
+    def test_trace_keeps_one_stacked_gate_block(self):
+        # The sigmoid gates and the candidate pre-activation share one
+        # (4n, B) array, which the candidate cache views.
+        p = init_params(2, 5, 1, seed=3)
+        x = RngStream(4).normals((2, 2, 7))
+        _, trace = sequence_forward(p, x, ActivationKind.brownian(m=10),
+                                    rng=RngStream(5))
+        for step in trace.steps:
+            assert step.gates.shape == (20, 7)
+            assert np.shares_memory(step.gates, step.cand_cache.inputs)
 
 
 class TestSequenceForward:
@@ -136,7 +147,8 @@ class TestSequenceForward:
         c = i * np.tanh(z[3 * n:])
         h = o * np.tanh(c)
         step = trace.steps[0]
-        for got, want in ((step.f, f), (step.i, i), (step.o, o),
+        for got, want in ((step.gates[:n], f), (step.gates[n:2 * n], i),
+                          (step.gates[2 * n:3 * n], o),
                           (step.c, c), (step.h, h),
                           (pred, p.w_y @ h + p.b_y)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -287,21 +299,22 @@ class TestBackwardBptt:
         dh = p.w_y.T @ np.array([[1.0]])
         dc = np.zeros_like(dh)
         total = 0.0
+        n = 3
         for step in reversed(trace.steps):
+            f, i, o = (step.gates[k * n:(k + 1) * n] for k in range(3))
             do = dh * step.a
-            da = dh * step.o
+            da = dh * o
             dc = dc + backward_input(kind, step.cell_cache, da)
             total += backward_alpha(kind, step.cell_cache, da)
             df = dc * step.c_prev
             di = dc * step.c_tilde
-            dct = dc * step.i
+            dct = dc * i
             dzc = backward_input(kind, step.cand_cache, dct)
             total += backward_alpha(kind, step.cand_cache, dct)
-            dz = np.concatenate([df * step.f * (1 - step.f),
-                                 di * step.i * (1 - step.i),
-                                 do * step.o * (1 - step.o), dzc])
+            dz = np.concatenate([df * f * (1 - f), di * i * (1 - i),
+                                 do * o * (1 - o), dzc])
             dh = p.u.T @ dz
-            dc = dc * step.f
+            dc = dc * f
         assert grads["alpha"][0, 0] == pytest.approx(total, rel=1e-12)
 
     def test_dpred_shape_mismatch_rejected(self):
